@@ -71,7 +71,13 @@ def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocab
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {version!r}")
 
-    config = ModelConfig(**doc["model_config"])
+    saved_config = doc.get("model_config")
+    if not isinstance(saved_config, dict):
+        raise CheckpointError(f"{path}: checkpoint has no model_config object")
+    try:
+        config = ModelConfig(**saved_config)
+    except (TypeError, ValidationError) as e:  # unknown or missing key, bad value
+        raise CheckpointError(f"{path}: bad model_config: {e}") from e
     tokens = [str(t) for t in doc["vocab_tokens"]]
     if tuple(tokens[:4]) != RESERVED_TOKENS:
         raise CheckpointError(f"checkpoint vocabulary lacks the reserved tokens {RESERVED_TOKENS}")

@@ -156,7 +156,7 @@ def _cmd_caption(args) -> int:
         raise ValidationError(f"record id {args.record_id!r} not found in {args.records}")
     ex = example_from_record(matches[0], vocab, model.config)
     enc = encode(model, ex)
-    if args.beam:
+    if args.beam is not None:
         ids = decode_beam(model, enc, width=args.beam)
     else:
         ids = decode_greedy(model, enc)
@@ -244,10 +244,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

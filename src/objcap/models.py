@@ -352,6 +352,24 @@ def _log_softmax_row(logits: np.ndarray) -> np.ndarray:
     return logits - (m + np.log(np.exp(logits - m).sum()))
 
 
+def _greedy_walk(model: Model, encoding: Tensor, max_len: int) -> tuple[list[int], list[np.ndarray]]:
+    """Argmax tokens from <start>, and the logits row of every step taken
+    (one more row than tokens when the walk stopped at <end>)."""
+    state = _init_state(model)
+    token = START
+    out: list[int] = []
+    rows: list[np.ndarray] = []
+    for _ in range(max_len):
+        logits, state = decode_step(model, encoding, state, token)
+        rows.append(logits)
+        nxt = int(np.argmax(logits))
+        if nxt == END:
+            break
+        out.append(nxt)
+        token = nxt
+    return out, rows
+
+
 def decode_greedy(model: Model, encoding: Tensor, max_len: int | None = None) -> list[int]:
     """Argmax decoding from <start>; stops at <end> or after max_len tokens.
 
@@ -360,22 +378,16 @@ def decode_greedy(model: Model, encoding: Tensor, max_len: int | None = None) ->
     """
     if max_len is None:
         max_len = model.config.max_caption_len
-    state = _init_state(model)
-    token = START
-    out: list[int] = []
-    for _ in range(max_len):
-        logits, state = decode_step(model, encoding, state, token)
-        nxt = int(np.argmax(logits))
-        if nxt == END:
-            break
-        out.append(nxt)
-        token = nxt
-    return out
+    return _greedy_walk(model, encoding, max_len)[0]
 
 
 def sequence_score(model: Model, encoding: Tensor, tokens: list[int], max_len: int | None = None):
     """Length-normalized log-probability of emitting ``tokens`` and, when the
-    sequence is shorter than max_len, the terminating <end>."""
+    sequence is shorter than max_len, the terminating <end>.
+
+    The reference scorer: it decodes ``tokens`` again from <start>. Beam
+    search scores its greedy fallback from the greedy pass instead.
+    """
     if max_len is None:
         max_len = model.config.max_caption_len
     state = _init_state(model)
@@ -393,13 +405,35 @@ def sequence_score(model: Model, encoding: Tensor, tokens: list[int], max_len: i
     return total / emitted
 
 
+def _scored_greedy(model: Model, encoding: Tensor, max_len: int) -> tuple[float, tuple[int, ...]]:
+    """(sequence_score, emitted sequence) of decode_greedy's output, from the
+    logits of the one greedy pass."""
+    tokens, rows = _greedy_walk(model, encoding, max_len)
+    emitted = tuple(tokens) + ((END,) if len(tokens) < max_len else ())
+    total = 0.0
+    for tok, logits in zip(emitted, rows):
+        total = total + float(_log_softmax_row(logits)[tok])
+    return total / len(emitted), emitted
+
+
 def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None = None) -> list[int]:
     """Length-normalized beam search; width 1 reproduces decode_greedy.
 
     Finished hypotheses compete with live ones under the same normalized
     score; ties prefer the lexicographically smallest emitted sequence,
-    matching greedy's lowest-index argmax. The greedy sequence is scored as
-    a fallback so the returned hypothesis never scores below it.
+    matching greedy's lowest-index argmax.
+
+    Selection: at step ``it`` every live hypothesis has emitted ``it``
+    tokens, so the scores of all one-token extensions form one
+    ``(live, V)`` matrix ``(lp_sum + log_softmax) / (it + 1)``, the same
+    float64 arithmetic as scoring each candidate alone. The ``width``-th
+    largest value over that matrix and the finished scores is a threshold;
+    only the candidates at or above it, ties included, are sorted by the
+    key ``(-score, emitted)``, so the ``width`` kept are exactly those of a
+    sort over every candidate.
+
+    The greedy sequence, scored from the logits of its own single pass,
+    competes as a fallback so the returned hypothesis never scores below it.
     """
     if width < 1:
         raise ValidationError(f"beam width must be >= 1, got {width}")
@@ -407,7 +441,6 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
         max_len = model.config.max_caption_len
     if max_len < 1:
         return []
-    vocab_size = model.config.vocab_size
 
     logits, state = decode_step(model, encoding, _init_state(model), START)
     # alive: (content tokens, summed logprob, state, next-token logprobs)
@@ -418,18 +451,20 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
         if not alive:
             break
         last = it == max_len - 1
+        sums = np.array([hyp[1] for hyp in alive])[:, None] + np.stack([hyp[3] for hyp in alive])
+        norms = sums / (it + 1)
+        scores = np.concatenate([norms.ravel(), [norm for norm, _ in finished]])
+        cut = -np.inf
+        if width < scores.size:
+            cut = np.partition(scores, scores.size - width)[scores.size - width]
         pool: list[tuple[float, tuple[int, ...], tuple | None]] = [
-            (norm, emitted, None) for norm, emitted in finished
+            (norm, emitted, None) for norm, emitted in finished if norm >= cut
         ]
-        for tokens, lp_sum, hyp_state, next_lp in alive:
-            for tok in range(vocab_size):
-                lp = lp_sum + float(next_lp[tok])
-                emitted = tokens + (tok,)
-                norm = lp / len(emitted)
-                if tok == END:
-                    pool.append((norm, emitted, None))
-                else:
-                    pool.append((norm, emitted, (lp, hyp_state, tok)))
+        for row, tok in zip(*np.nonzero(norms >= cut)):
+            row, tok = int(row), int(tok)
+            emitted = alive[row][0] + (tok,)
+            cand = None if tok == END else (float(sums[row, tok]), alive[row][2], tok)
+            pool.append((float(norms[row, tok]), emitted, cand))
         pool.sort(key=lambda entry: (-entry[0], entry[1]))
         kept = pool[:width]
         finished = [(norm, emitted) for norm, emitted, cand in kept if cand is None]
@@ -445,14 +480,8 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
                 logits, new_state = decode_step(model, encoding, parent_state, tok)
                 alive.append((emitted, lp, new_state, _log_softmax_row(logits)))
 
-    best_norm, best_emitted = min(finished, key=lambda entry: (-entry[0], entry[1]))
-
-    greedy = decode_greedy(model, encoding, max_len)
-    greedy_norm = sequence_score(model, encoding, greedy, max_len)
-    greedy_emitted = tuple(greedy) + ((END,) if len(greedy) < max_len else ())
-    if (-greedy_norm, greedy_emitted) < (-best_norm, best_emitted):
-        return greedy
-
+    finished.append(_scored_greedy(model, encoding, max_len))
+    _, best_emitted = min(finished, key=lambda entry: (-entry[0], entry[1]))
     out = list(best_emitted)
     if out and out[-1] == END:
         out.pop()

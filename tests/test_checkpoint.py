@@ -103,3 +103,37 @@ def test_shape_mismatch_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError):
         load_checkpoint(path, glove=glove)
+
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda cfg: cfg.update(decoder_layers=2), "decoder_layers"),
+        (lambda cfg: cfg.pop("vocab_size"), "vocab_size"),
+        (lambda cfg: cfg.update(visual_dim="wide"), "model_config"),
+        (lambda cfg: cfg.update(variant="m9"), "m9"),
+    ],
+)
+def test_bad_model_config_rejected(tmp_path, edit, named):
+    _, glove, vocab, model = trained_setup(tmp_path)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, vocab)
+    doc = json.loads(path.read_text())
+    edit(doc["model_config"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError) as e:
+        load_checkpoint(path, glove=glove)
+    assert named in str(e.value) and str(path) in str(e.value)
+
+
+def test_missing_model_config_rejected(tmp_path):
+    _, glove, vocab, model = trained_setup(tmp_path)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, vocab)
+    doc = json.loads(path.read_text())
+    del doc["model_config"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError) as e:
+        load_checkpoint(path, glove=glove)
+    assert "model_config" in str(e.value) and str(path) in str(e.value)

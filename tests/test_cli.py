@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from objcap.checkpoint import save_checkpoint
 from objcap.cli import load_runspec, main
-from objcap.data import ValidationError, load_records
+from objcap.data import ValidationError, build_vocab, load_glove, load_records
+from objcap.models import ModelConfig, build
 
 
 def write_runspec(path, data_dir, out_dir, **overrides):
@@ -73,6 +75,46 @@ def test_full_pipeline_smoke(tmp_path, capsys):
         "--record-id", some_id, "--beam", "3",
         "--glove", str(data_dir / "glove.txt"),
     ]) == 0
+
+
+def untrained_caption_args(tmp_path):
+    """`caption` arguments for a freshly built m3 checkpoint on a synthetic corpus."""
+    data_dir = tmp_path / "data"
+    assert main(synth_args(data_dir)) == 0
+    records = load_records(data_dir / "records.jsonl")
+    vocab = build_vocab(records)
+    config = ModelConfig(
+        variant="m3", visual_dim=16, vocab_size=len(vocab), max_caption_len=6, reduced_dim=4,
+        text_embed_dim=4, lang_hidden=4, decoder_hidden=4, label_embed_dim=6, max_objects=5,
+    )
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(checkpoint, build(config, glove=load_glove(data_dir / "glove.txt")), vocab)
+    return checkpoint, [
+        "caption", "--checkpoint", str(checkpoint),
+        "--records", str(data_dir / "records.jsonl"), "--record-id", records[0].id,
+        "--glove", str(data_dir / "glove.txt"),
+    ]
+
+
+def test_caption_beam_zero_exits_1(tmp_path, capsys):
+    _, args = untrained_caption_args(tmp_path)
+    assert main(args + ["--beam", "1"]) == 0
+    capsys.readouterr()
+    assert main(args + ["--beam", "0"]) == 1
+    assert "beam width must be >= 1" in capsys.readouterr().err
+
+
+def test_caption_bad_model_config_exits_1(tmp_path, capsys):
+    checkpoint, args = untrained_caption_args(tmp_path)
+    doc = json.loads(checkpoint.read_text())
+    doc["model_config"]["decoder_layers"] = 2
+    checkpoint.write_text(json.dumps(doc))
+    assert main(args) == 1
+    assert "decoder_layers" in capsys.readouterr().err
+    del doc["model_config"]
+    checkpoint.write_text(json.dumps(doc))
+    assert main(args) == 1
+    assert "model_config" in capsys.readouterr().err
 
 
 def test_bleu_identity_prints_one(tmp_path, capsys):

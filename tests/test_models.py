@@ -19,6 +19,7 @@ from objcap.models import (
     sequence_score,
     _init_state,
     _log_softmax_row,
+    _scored_greedy,
 )
 from objcap.tensor import Tensor, add, cross_entropy, softmax
 from objcap.data import synth_corpus, build_vocab
@@ -402,3 +403,104 @@ def test_beam_never_below_greedy_score():
             assert sequence_score(model, enc, beamed) >= sequence_score(
                 model, enc, decode_greedy(model, enc)
             ) - 1e-15
+
+
+def reference_beam(model, encoding, width, max_len=None):
+    """The per-candidate beam: one tuple per (hypothesis, token) pair, all
+    sorted by (-score, emitted); greedy fallback re-scored by sequence_score."""
+    if max_len is None:
+        max_len = model.config.max_caption_len
+    logits, state = decode_step(model, encoding, _init_state(model), START)
+    alive = [((), 0.0, state, _log_softmax_row(logits))]
+    finished = []
+    for it in range(max_len):
+        if not alive:
+            break
+        last = it == max_len - 1
+        pool = [(norm, emitted, None) for norm, emitted in finished]
+        for tokens, lp_sum, hyp_state, next_lp in alive:
+            for tok in range(model.config.vocab_size):
+                lp = lp_sum + float(next_lp[tok])
+                emitted = tokens + (tok,)
+                norm = lp / len(emitted)
+                if tok == END:
+                    pool.append((norm, emitted, None))
+                else:
+                    pool.append((norm, emitted, (lp, hyp_state, tok)))
+        pool.sort(key=lambda entry: (-entry[0], entry[1]))
+        kept = pool[:width]
+        finished = [(norm, emitted) for norm, emitted, cand in kept if cand is None]
+        alive = []
+        for norm, emitted, cand in kept:
+            if cand is None:
+                continue
+            lp, parent_state, tok = cand
+            if last:
+                finished.append((norm, emitted))
+            else:
+                logits, new_state = decode_step(model, encoding, parent_state, tok)
+                alive.append((emitted, lp, new_state, _log_softmax_row(logits)))
+    best_norm, best_emitted = min(finished, key=lambda entry: (-entry[0], entry[1]))
+    greedy = decode_greedy(model, encoding, max_len)
+    greedy_norm = sequence_score(model, encoding, greedy, max_len)
+    greedy_emitted = tuple(greedy) + ((END,) if len(greedy) < max_len else ())
+    if (-greedy_norm, greedy_emitted) < (-best_norm, best_emitted):
+        return greedy
+    return strip_end(best_emitted)
+
+
+def threshold_models(seeds=range(3)):
+    """(name, model) pairs on which many candidates share the cutoff score.
+
+    Besides random weights: "flat" and "rounded" heads have zero weight, so
+    every logit is a state-independent (zero or integer) bias; "part-tied"
+    zeroes the weight of half the tokens, whose logits then tie while the
+    other half make the best continuation depend on which tied token was
+    kept; "no-end" pushes <end> down by 1e6, so every hypothesis runs to
+    max_len.
+    """
+    for seed in seeds:
+        for variant in ("m1", "m2", "m3"):
+            rng = np.random.default_rng(seed)
+            yield f"{variant}-random-{seed}", tiny_model(variant, seed=seed, vocab_size=9)
+            flat = tiny_model(variant, seed=seed, vocab_size=9)
+            flat.head.weight.data[:] = 0.0
+            yield f"{variant}-flat-{seed}", flat
+            rounded = tiny_model(variant, seed=seed, vocab_size=9)
+            rounded.head.weight.data[:] = 0.0
+            rounded.head.bias.data[:] = np.round(rng.normal(0.0, 1.5, 9))
+            yield f"{variant}-rounded-{seed}", rounded
+            part = tiny_model(variant, seed=seed, vocab_size=9)
+            part.head.weight.data *= 10.0
+            part.head.weight.data[:, rng.permutation(9)[:4]] = 0.0
+            part.head.bias.data[:] = np.round(rng.normal(0.0, 0.5, 9))
+            yield f"{variant}-part-tied-{seed}", part
+            no_end = tiny_model(variant, seed=seed, vocab_size=9)
+            no_end.head.bias.data[END] -= 1e6
+            yield f"{variant}-no-end-{seed}", no_end
+
+
+@pytest.mark.parametrize("width", [2, 3, 5])
+def test_beam_matches_reference_pool_at_threshold(width):
+    for name, model in threshold_models():
+        for seed in range(2):
+            enc = random_encoding(model, seed + 400)
+            for max_len in (None, 3):
+                assert decode_beam(model, enc, width=width, max_len=max_len) == reference_beam(
+                    model, enc, width, max_len
+                ), (name, seed, max_len)
+
+
+def test_scored_greedy_equals_sequence_score():
+    ended = ran_to_max_len = 0
+    for name, model in threshold_models():
+        for seed in range(3):
+            enc = random_encoding(model, seed + 500)
+            max_len = model.config.max_caption_len
+            greedy = decode_greedy(model, enc)
+            norm, emitted = _scored_greedy(model, enc, max_len)
+            assert norm == sequence_score(model, enc, greedy), name
+            assert strip_end(emitted) == greedy, name
+            ended += len(greedy) < max_len
+            ran_to_max_len += len(greedy) == max_len
+    assert ended and ran_to_max_len
