@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 
 def ngram_counts(tokens, n: int) -> Counter:
@@ -15,7 +16,7 @@ def closest_ref_length(hyp_len: int, references) -> int:
     return min((len(r) for r in references), key=lambda rl: (abs(rl - hyp_len), rl))
 
 
-def _check_args(references, max_n, weights):
+def _check_weights(max_n, weights):
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if weights is None:
@@ -24,13 +25,13 @@ def _check_args(references, max_n, weights):
         raise ValueError(f"need {max_n} weights, got {len(weights)}")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {sum(weights)}")
-    if not references:
-        raise ValueError("at least one reference is required")
     return weights
 
 
 def _pair_stats(hypothesis, references, max_n):
     """Per-pair clipped/total n-gram counts plus length bookkeeping."""
+    if not references:
+        raise ValueError("at least one reference is required")
     clipped = [0] * max_n
     totals = [0] * max_n
     for n in range(1, max_n + 1):
@@ -47,6 +48,12 @@ def _pair_stats(hypothesis, references, max_n):
     return clipped, totals, len(hypothesis), closest_ref_length(len(hypothesis), references)
 
 
+def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
+    if hyp_len == 0:
+        return 0.0
+    return 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+
+
 def _score(clipped, totals, hyp_len, ref_len, weights) -> float:
     if hyp_len == 0:
         return 0.0
@@ -59,12 +66,11 @@ def _score(clipped, totals, hyp_len, ref_len, weights) -> float:
         if num == 0:
             return 0.0
         log_sum += w * math.log(num / den)
-    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return bp * math.exp(log_sum)
+    return _brevity_penalty(hyp_len, ref_len) * math.exp(log_sum)
 
 
 def sentence_bleu(hypothesis, references, max_n: int = 4, weights=None) -> float:
-    weights = _check_args(references, max_n, weights)
+    weights = _check_weights(max_n, weights)
     clipped, totals, c, r = _pair_stats(hypothesis, references, max_n)
     return _score(clipped, totals, c, r, weights)
 
@@ -76,13 +82,14 @@ def corpus_stats(pairs, max_n: int = 4):
     summed before any division: this is corpus-level BLEU, not a mean of
     sentence scores.
     """
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     if not pairs:
         raise ValueError("corpus BLEU needs at least one pair")
     clipped = [0] * max_n
     totals = [0] * max_n
     hyp_len = ref_len = 0
     for hypothesis, references in pairs:
-        _check_args(references, max_n, None)
         pc, pt, c, r = _pair_stats(hypothesis, references, max_n)
         for n in range(max_n):
             clipped[n] += pc[n]
@@ -92,10 +99,30 @@ def corpus_stats(pairs, max_n: int = 4):
     return clipped, totals, hyp_len, ref_len
 
 
-def corpus_bleu(pairs, max_n: int = 4, weights=None) -> float:
-    if weights is None:
-        weights = [1.0 / max_n] * max_n
-    if max_n < 1 or len(weights) != max_n or abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError(f"bad max_n/weights: {max_n}, {weights}")
+@dataclass
+class CorpusBleu:
+    """Corpus BLEU with its parts: per-order precisions (0.0 for an order
+    with no hypothesis n-grams), brevity penalty and the summed lengths."""
+
+    score: float
+    precisions: list[float]
+    brevity_penalty: float
+    hyp_length: int
+    ref_length: int
+
+
+def corpus_bleu_parts(pairs, max_n: int = 4, weights=None) -> CorpusBleu:
+    """Corpus BLEU and its parts, from one corpus_stats pass."""
+    weights = _check_weights(max_n, weights)
     clipped, totals, hyp_len, ref_len = corpus_stats(pairs, max_n)
-    return _score(clipped, totals, hyp_len, ref_len, weights)
+    return CorpusBleu(
+        score=_score(clipped, totals, hyp_len, ref_len, weights),
+        precisions=[(c / t) if t else 0.0 for c, t in zip(clipped, totals)],
+        brevity_penalty=_brevity_penalty(hyp_len, ref_len),
+        hyp_length=hyp_len,
+        ref_length=ref_len,
+    )
+
+
+def corpus_bleu(pairs, max_n: int = 4, weights=None) -> float:
+    return corpus_bleu_parts(pairs, max_n, weights).score

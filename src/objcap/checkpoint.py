@@ -64,12 +64,15 @@ def save_checkpoint(path, model: Model, vocab: Vocabulary) -> None:
 
 def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocabulary]:
     """Rebuild the model and vocabulary. m3 checkpoints require the same
-    GLOVE table they were saved with (checked by fingerprint)."""
+    GLOVE table they were saved with (checked by fingerprint). A document
+    that is malformed or does not fit raises CheckpointError naming the file."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path}: checkpoint is not a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format version {version!r}")
+        raise CheckpointError(f"{path}: unsupported checkpoint format version {version!r}")
 
     saved_config = doc.get("model_config")
     if not isinstance(saved_config, dict):
@@ -78,35 +81,52 @@ def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocab
         config = ModelConfig(**saved_config)
     except (TypeError, ValidationError) as e:  # unknown or missing key, bad value
         raise CheckpointError(f"{path}: bad model_config: {e}") from e
-    tokens = [str(t) for t in doc["vocab_tokens"]]
+    tokens = doc.get("vocab_tokens")
+    if not isinstance(tokens, list):
+        raise CheckpointError(f"{path}: checkpoint has no vocab_tokens list")
+    tokens = [str(t) for t in tokens]
     if tuple(tokens[:4]) != RESERVED_TOKENS:
-        raise CheckpointError(f"checkpoint vocabulary lacks the reserved tokens {RESERVED_TOKENS}")
+        raise CheckpointError(
+            f"{path}: checkpoint vocabulary lacks the reserved tokens {RESERVED_TOKENS}"
+        )
     if vocab_fingerprint(tokens) != doc.get("vocab_sha256"):
-        raise CheckpointError("vocabulary hash mismatch: checkpoint is corrupt or was edited")
+        raise CheckpointError(f"{path}: vocabulary hash mismatch: checkpoint is corrupt or was edited")
     vocab = Vocabulary(tokens[4:])
     if len(vocab) != config.vocab_size:
-        raise CheckpointError(f"vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}")
+        raise CheckpointError(
+            f"{path}: vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}"
+        )
 
     if config.variant == "m3":
         if glove is None:
-            raise CheckpointError("this checkpoint needs the GLOVE table it was trained with")
+            raise CheckpointError(f"{path}: this checkpoint needs the GLOVE table it was trained with")
         if glove_fingerprint(glove) != doc.get("glove_sha256"):
             raise CheckpointError(
-                "GLOVE table hash mismatch: checkpoint was saved with different label vectors"
+                f"{path}: GLOVE table hash mismatch: checkpoint was saved with different label vectors"
             )
 
+    saved = doc.get("params")
+    if not isinstance(saved, dict):
+        raise CheckpointError(f"{path}: checkpoint has no params object")
     model = build(config, glove=glove if config.variant == "m3" else None)
-    saved = doc["params"]
     if set(saved) != set(model.params):
         raise CheckpointError(
-            f"parameter names do not match config: saved {sorted(saved)} "
+            f"{path}: parameter names do not match config: saved {sorted(saved)} "
             f"vs expected {sorted(model.params)}"
         )
     for name, p in model.params.items():
         entry = saved[name]
+        if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
+                and isinstance(entry.get("data"), list)):
+            raise CheckpointError(f"{path}: parameter {name} needs a shape list and a data list")
         shape = tuple(entry["shape"])
         if shape != p.shape:
-            raise CheckpointError(f"parameter {name}: shape {shape} != expected {p.shape}")
-        values = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+            raise CheckpointError(f"{path}: parameter {name}: shape {shape} != expected {p.shape}")
+        try:
+            values = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: parameter {name}: bad data: {e}") from None
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"{path}: parameter {name} holds NaN or infinite values")
         p.data[:] = values
     return model, vocab

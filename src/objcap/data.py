@@ -64,11 +64,19 @@ def validate_record(rec: ImageRecord, where: str = "") -> None:
     for k, obj in enumerate(rec.objects):
         if not obj.feature:
             raise ValidationError(f"{ctx}: object {k} has an empty feature vector")
+        # one sum shows a NaN or an infinity; only an overflowing sum needs the per-value check
+        if not math.isfinite(sum(obj.feature)) and not all(map(math.isfinite, obj.feature)):
+            raise ValidationError(f"{ctx}: object {k} feature holds NaN or Infinity")
         if feat_len is None:
             feat_len = len(obj.feature)
         elif len(obj.feature) != feat_len:
             raise ValidationError(
                 f"{ctx}: object {k} feature length {len(obj.feature)} != {feat_len}"
+            )
+        if len(obj.bbox) != 4 or not all(map(math.isfinite, (*obj.bbox, obj.distance))):
+            raise ValidationError(
+                f"{ctx}: object {k} needs a bbox of 4 finite numbers [x, y, w, h] and a finite "
+                f"distance, got {obj.bbox} and {obj.distance}"
             )
         x, y, w, h = obj.bbox
         if x < 0 or y < 0 or w <= 0 or h <= 0:
@@ -85,26 +93,49 @@ _RECORD_FIELDS = {"id", "num_objects", "objects", "captions"}
 _OBJECT_FIELDS = {"label", "feature", "bbox", "distance"}
 
 
-def _record_from_json(doc: dict, where: str) -> ImageRecord:
+def _floats(values, ctx: str, what: str) -> list[float]:
+    """A JSON array of numbers, as Python floats."""
+    if isinstance(values, list):
+        try:
+            return list(map(float, values))
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{ctx}: {what}: expected a list of numbers, got {values!r:.60}")
+
+
+def _record_from_json(doc, where: str) -> ImageRecord:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: a record must be a JSON object, got {type(doc).__name__}")
     missing = _RECORD_FIELDS - doc.keys()
     if missing:
         raise ValidationError(f"{where}: missing field(s) {sorted(missing)}")
+    ctx = f"{where}: record {str(doc['id'])!r}"
+    if not isinstance(doc["objects"], list):
+        raise ValidationError(f"{ctx}: objects must be a list")
+    if not isinstance(doc["captions"], list):
+        raise ValidationError(f"{ctx}: captions must be a list")
+    try:
+        num_objects = int(doc["num_objects"])
+    except (TypeError, ValueError):
+        raise ValidationError(f"{ctx}: num_objects must be an integer") from None
     objects = []
     for k, o in enumerate(doc["objects"]):
+        if not isinstance(o, dict):
+            raise ValidationError(f"{ctx}: object {k} is not a JSON object")
         miss = _OBJECT_FIELDS - o.keys()
         if miss:
-            raise ValidationError(f"{where}: object {k} missing field(s) {sorted(miss)}")
+            raise ValidationError(f"{ctx}: object {k} missing field(s) {sorted(miss)}")
         objects.append(
             ObjectInstance(
                 label=str(o["label"]),
-                feature=[float(v) for v in o["feature"]],
-                bbox=tuple(float(v) for v in o["bbox"]),
-                distance=float(o["distance"]),
+                feature=_floats(o["feature"], ctx, f"object {k} feature"),
+                bbox=tuple(_floats(o["bbox"], ctx, f"object {k} bbox")),
+                distance=_floats([o["distance"]], ctx, f"object {k} distance")[0],
             )
         )
     rec = ImageRecord(
         id=str(doc["id"]),
-        num_objects=int(doc["num_objects"]),
+        num_objects=num_objects,
         objects=objects,
         captions=[str(c) for c in doc["captions"]],
     )

@@ -1,8 +1,10 @@
 """Parameterized building blocks: embeddings, dense projection, LSTMs.
 
-All layers operate on single rows (shape 1*d); sequences are plain Python
-lists of rows. Parameters live in small dataclasses so models can collect
-them under stable names for checkpointing.
+Layers operate on a batch of B rows (shape B*d), each row one independent
+example: training feeds single rows (B = 1), batched greedy decoding feeds
+one row per image. Sequences are plain Python lists of such row blocks.
+Parameters live in small dataclasses so models can collect them under
+stable names for checkpointing.
 """
 from __future__ import annotations
 
@@ -84,9 +86,11 @@ def lstm_init(input_dim: int, hidden_size: int, rng: np.random.Generator) -> Lst
 
 
 def lstm_step(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One step of the standard forget-gate LSTM. Returns (h', c')."""
+    """One step of the standard forget-gate LSTM on B rows: x is B*input_dim,
+    h and c are B*hidden. Returns (h', c')."""
     n = p.hidden_size
-    if x.shape != (1, p.W.shape[0]) or h.shape != (1, n) or c.shape != (1, n):
+    rows = x.shape[0] if x.shape else -1
+    if x.shape != (rows, p.W.shape[0]) or h.shape != (rows, n) or c.shape != (rows, n):
         raise ValueError(
             f"lstm_step: got x {x.shape}, h {h.shape}, c {c.shape} "
             f"for input_dim {p.W.shape[0]}, hidden {n}"
@@ -107,8 +111,9 @@ def lstm_unroll(
     """Left-to-right unroll; returns the hidden state at every step."""
     if not inputs:
         raise ValueError("lstm_unroll: empty input sequence")
-    h = h0 if h0 is not None else zeros((1, p.hidden_size))
-    c = c0 if c0 is not None else zeros((1, p.hidden_size))
+    rows = inputs[0].shape[0]
+    h = h0 if h0 is not None else zeros((rows, p.hidden_size))
+    c = c0 if c0 is not None else zeros((rows, p.hidden_size))
     states = []
     for x in inputs:
         h, c = lstm_step(p, x, h, c)
@@ -130,7 +135,6 @@ def bilstm(p_fwd: LstmParams, p_bwd: LstmParams, inputs: list[Tensor]) -> list[T
 @dataclass
 class EmbeddingTable:
     table: Tensor  # (vocab_size, embed_dim)
-    trainable: bool
 
     @property
     def vocab_size(self) -> int:
@@ -142,14 +146,12 @@ class EmbeddingTable:
 
 
 def embedding_init(vocab_size: int, embed_dim: int, rng: np.random.Generator) -> EmbeddingTable:
-    return EmbeddingTable(table=glorot_uniform((vocab_size, embed_dim), rng), trainable=True)
+    return EmbeddingTable(table=glorot_uniform((vocab_size, embed_dim), rng))
 
 
-def frozen_embedding(matrix) -> EmbeddingTable:
-    """Fixed lookup table (e.g. pretrained vectors); excluded from training."""
-    return EmbeddingTable(table=Tensor(matrix, requires_grad=False), trainable=False)
+def embed(table: EmbeddingTable, index) -> Tensor:
+    """Look up one token id as a 1*d row, or a 1-D array of B ids as B*d rows.
 
-
-def embed(table: EmbeddingTable, index: int) -> Tensor:
-    """Row lookup as a 1*d tensor; joins the autodiff graph iff trainable."""
+    The lookup joins the autodiff graph iff the table requires a gradient.
+    """
     return take_row(table.table, index)

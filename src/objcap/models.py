@@ -316,22 +316,30 @@ class _DecodeState:
     h_dec: Tensor
     c_dec: Tensor
 
+    def take(self, rows: list[int]) -> "_DecodeState":
+        """The state of the batch rows listed in ``rows``."""
+        parts = (self.h_lang, self.c_lang, self.h_dec, self.c_dec)
+        return _DecodeState(*(Tensor(t.data[rows]) for t in parts))
 
-def _init_state(model: Model) -> _DecodeState:
+
+def _init_state(model: Model, rows: int = 1) -> _DecodeState:
     cfg = model.config
     return _DecodeState(
-        h_lang=zeros((1, cfg.lang_hidden)),
-        c_lang=zeros((1, cfg.lang_hidden)),
-        h_dec=zeros((1, cfg.decoder_hidden)),
-        c_dec=zeros((1, cfg.decoder_hidden)),
+        h_lang=zeros((rows, cfg.lang_hidden)),
+        c_lang=zeros((rows, cfg.lang_hidden)),
+        h_dec=zeros((rows, cfg.decoder_hidden)),
+        c_dec=zeros((rows, cfg.decoder_hidden)),
     )
 
 
-def decode_step(model: Model, encoding: Tensor, state: _DecodeState, token: int):
-    """Feed one token, return (logits row as ndarray, next state).
+def decode_step(model: Model, encoding: Tensor, state: _DecodeState, token):
+    """Feed one token to each of B rows, return (logits, next state).
 
-    m2 generates with its forward direction only; the backward half of the
-    head input is zero because future context does not exist at inference.
+    ``encoding`` and ``state`` hold B rows. ``token`` is one id (B = 1),
+    which returns the logits as a length-V ndarray, or a 1-D array of B ids,
+    which returns them as a B*V ndarray. m2 generates with its forward
+    direction only; the backward half of the head input is zero because
+    future context does not exist at inference.
     """
     cfg = model.config
     e = embed(model.word_embed, token)
@@ -339,12 +347,14 @@ def decode_step(model: Model, encoding: Tensor, state: _DecodeState, token: int)
     x = concat([encoding, h_lang], axis=1)
     if cfg.variant == "m2":
         h_dec, c_dec = lstm_step(model.decoder_fwd, x, state.h_dec, state.c_dec)
-        head_in = concat([h_dec, zeros((1, cfg.decoder_hidden))], axis=1)
+        head_in = concat([h_dec, zeros(h_dec.shape)], axis=1)
     else:
         h_dec, c_dec = lstm_step(model.decoder, x, state.h_dec, state.c_dec)
         head_in = h_dec
-    logits = vocab_head(model.head, head_in)
-    return logits.data[0].copy(), _DecodeState(h_lang, c_lang, h_dec, c_dec)
+    logits = vocab_head(model.head, head_in).data
+    if isinstance(token, (int, np.integer)):
+        logits = logits[0].copy()
+    return logits, _DecodeState(h_lang, c_lang, h_dec, c_dec)
 
 
 def _log_softmax_row(logits: np.ndarray) -> np.ndarray:
@@ -352,33 +362,58 @@ def _log_softmax_row(logits: np.ndarray) -> np.ndarray:
     return logits - (m + np.log(np.exp(logits - m).sum()))
 
 
-def _greedy_walk(model: Model, encoding: Tensor, max_len: int) -> tuple[list[int], list[np.ndarray]]:
-    """Argmax tokens from <start>, and the logits row of every step taken
-    (one more row than tokens when the walk stopped at <end>)."""
-    state = _init_state(model)
-    token = START
-    out: list[int] = []
-    rows: list[np.ndarray] = []
+def _greedy_walk(model: Model, encodings: Tensor, max_len: int):
+    """The greedy walk of B rows in lockstep from <start>.
+
+    Each step takes every row's argmax token; numpy's argmax takes the
+    first maximum, so ties break toward the lowest token index. Yields
+    ``(rows, logits, picked)`` per step: the batch indices still decoding
+    (a list), their logits (one row each) and the tokens they picked (a
+    list). A row leaves the batch after the step that picks <end>, so later
+    steps run on fewer rows.
+    """
+    rows = list(range(encodings.shape[0]))
+    state = _init_state(model, len(rows))
+    tokens = np.full(len(rows), START)
     for _ in range(max_len):
-        logits, state = decode_step(model, encoding, state, token)
-        rows.append(logits)
-        nxt = int(np.argmax(logits))
-        if nxt == END:
-            break
-        out.append(nxt)
-        token = nxt
-    return out, rows
+        logits, state = decode_step(model, encodings, state, tokens)
+        tokens = logits.argmax(axis=1)
+        picked = tokens.tolist()
+        yield rows, logits, picked
+        if END in picked:
+            keep = [k for k, tok in enumerate(picked) if tok != END]
+            if not keep:
+                return
+            rows = [rows[k] for k in keep]
+            encodings, state, tokens = Tensor(encodings.data[keep]), state.take(keep), tokens[keep]
 
 
-def decode_greedy(model: Model, encoding: Tensor, max_len: int | None = None) -> list[int]:
-    """Argmax decoding from <start>; stops at <end> or after max_len tokens.
+def decode_greedy_batch(model: Model, encodings: Tensor, max_len: int | None = None) -> list[list[int]]:
+    """Greedy captions of B images at once, one token list per row of the
+    B*encoding_dim ``encodings``; each stops at <end> or after max_len tokens.
 
-    numpy's argmax takes the first maximum, so ties break toward the lowest
-    token index.
+    Every step is one matrix product per weight over the rows still
+    decoding. Stacked rows can differ from one-row products in the last
+    bits (~1e-15), so a near-tied argmax may in principle pick differently
+    from ``decode_greedy`` on the same image.
     """
     if max_len is None:
         max_len = model.config.max_caption_len
-    return _greedy_walk(model, encoding, max_len)[0]
+    out: list[list[int]] = [[] for _ in range(encodings.shape[0])]
+    for rows, _, picked in _greedy_walk(model, encodings, max_len):
+        for row, tok in zip(rows, picked):
+            if tok != END:
+                out[row].append(tok)
+    return out
+
+
+def decode_greedy(model: Model, encoding: Tensor, max_len: int | None = None) -> list[int]:
+    """Argmax decoding of one image from <start>: the greedy walk with one
+    row. Stops at <end> or after max_len tokens; ties break toward the
+    lowest token index."""
+    if encoding.shape[0] != 1:
+        raise ValidationError(f"decode_greedy takes one image's encoding, got shape {encoding.shape}")
+    return decode_greedy_batch(model, encoding, max_len)[0]
 
 
 def sequence_score(model: Model, encoding: Tensor, tokens: list[int], max_len: int | None = None):
@@ -408,12 +443,13 @@ def sequence_score(model: Model, encoding: Tensor, tokens: list[int], max_len: i
 def _scored_greedy(model: Model, encoding: Tensor, max_len: int) -> tuple[float, tuple[int, ...]]:
     """(sequence_score, emitted sequence) of decode_greedy's output, from the
     logits of the one greedy pass."""
-    tokens, rows = _greedy_walk(model, encoding, max_len)
-    emitted = tuple(tokens) + ((END,) if len(tokens) < max_len else ())
+    emitted: list[int] = []
     total = 0.0
-    for tok, logits in zip(emitted, rows):
-        total = total + float(_log_softmax_row(logits)[tok])
-    return total / len(emitted), emitted
+    for _, logits, picked in _greedy_walk(model, encoding, max_len):
+        tok = picked[0]
+        emitted.append(tok)
+        total = total + float(_log_softmax_row(logits[0])[tok])
+    return total / len(emitted), tuple(emitted)
 
 
 def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None = None) -> list[int]:

@@ -320,21 +320,31 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _record((x,), x.data[idx].copy(), bw)
 
 
-def take_row(table: Tensor, index: int) -> Tensor:
-    """Row ``index`` of a 2-D table as a 1*d tensor; gradient hits only that row."""
+def take_row(table: Tensor, index) -> Tensor:
+    """Rows of a 2-D table: one int gives a 1*d tensor, a 1-D array of B
+    indices a B*d one. The gradient scatter-adds into the rows taken, so a
+    repeated index collects the gradient of each of its copies."""
     if table.data.ndim != 2:
         raise ValueError(f"take_row requires a 2-D table, got {table.shape}")
-    index = int(index)
-    if not (0 <= index < table.shape[0]):
+    # one int is the training path, run per token: keep it free of array work
+    if isinstance(index, (int, np.integer)):
+        ids = [int(index)]
+    else:
+        arr = np.asarray(index)
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ValueError(f"take_row: need an int or a 1-D integer array, got {index!r}")
+        ids = arr.tolist()
+    if not ids or min(ids) < 0 or max(ids) >= table.shape[0]:
         raise ValueError(f"take_row: index {index} out of range for table {table.shape}")
     shape = table.shape
 
     def bw(g: np.ndarray):
         full = np.zeros(shape, dtype=np.float64)
-        full[index, :] = g[0]
+        np.add.at(full, ids, g)
         return (full,)
 
-    return _record((table,), table.data[index : index + 1].copy(), bw)
+    out = table.data[ids[0] : ids[0] + 1].copy() if len(ids) == 1 else table.data[ids]
+    return _record((table,), out, bw)
 
 
 def _as_vector(x: Tensor, opname: str) -> np.ndarray:

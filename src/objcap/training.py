@@ -14,12 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bleu import corpus_bleu, corpus_stats
+from .bleu import corpus_bleu, corpus_bleu_parts
 from .data import ImageRecord, ValidationError, Vocabulary, tokenize
-from .models import Model, decode_greedy, encode, example_from_record, forward_teacher_forced
-from .tensor import Tape, Tensor, add, backward, cross_entropy, scale
+from .models import Model, decode_greedy_batch, encode, example_from_record, forward_teacher_forced
+from .tensor import Tape, Tensor, add, backward, concat, cross_entropy, scale
 
 OPTIMIZERS = ("sgd", "adam")
+
+# Evaluation decodes this many images per batched greedy walk, so the
+# memory of a walk does not grow with the test set.
+DECODE_BLOCK = 64
 
 
 @dataclass
@@ -133,15 +137,17 @@ def teacher_forced_loss(model: Model, example) -> tuple[Tensor, int]:
 
 def _decode_pairs(model: Model, records: list[ImageRecord], vocab: Vocabulary):
     """Greedy-decode every record (sorted by id for a schedule-independent
-    order); yields (hypothesis words, reference token lists) pairs."""
-    pairs = []
-    for rec in sorted(records, key=lambda r: r.id):
-        ex = example_from_record(rec, vocab, model.config)
-        ids = decode_greedy(model, encode(model, ex))
-        hyp = [vocab.token_at(i) for i in ids]
-        refs = [tokenize(c) for c in rec.captions]
-        pairs.append((hyp, refs))
-    return pairs
+    order), DECODE_BLOCK images per batched walk; returns (hypothesis words,
+    reference token lists) pairs."""
+    records = sorted(records, key=lambda r: r.id)
+    encodings = [encode(model, example_from_record(rec, vocab, model.config)) for rec in records]
+    hyps: list[list[int]] = []
+    for start in range(0, len(encodings), DECODE_BLOCK):
+        hyps.extend(decode_greedy_batch(model, concat(encodings[start : start + DECODE_BLOCK], axis=0)))
+    return [
+        ([vocab.token_at(i) for i in ids], [tokenize(c) for c in rec.captions])
+        for ids, rec in zip(hyps, records)
+    ]
 
 
 def validation_bleu(model: Model, records: list[ImageRecord], vocab: Vocabulary, max_n: int = 4) -> float:
@@ -237,20 +243,13 @@ def evaluate(model: Model, test_set: list[ImageRecord], vocab: Vocabulary, max_n
     if not test_set:
         raise ValidationError("test set is empty")
     pairs = _decode_pairs(model, test_set, vocab)
-    clipped, totals, hyp_len, ref_len = corpus_stats(pairs, max_n=max_n)
-    precisions = [
-        (clipped[k] / totals[k]) if totals[k] else 0.0 for k in range(max_n)
-    ]
-    if hyp_len == 0:
-        bp = 0.0
-    else:
-        bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    parts = corpus_bleu_parts(pairs, max_n=max_n)
     return EvalReport(
-        bleu=corpus_bleu(pairs, max_n=max_n),
+        bleu=parts.score,
         max_n=max_n,
-        precisions=precisions,
-        brevity_penalty=bp,
-        hyp_length=hyp_len,
-        ref_length=ref_len,
+        precisions=parts.precisions,
+        brevity_penalty=parts.brevity_penalty,
+        hyp_length=parts.hyp_length,
+        ref_length=parts.ref_length,
         n_images=len(pairs),
     )

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from objcap.bleu import closest_ref_length, corpus_bleu, corpus_stats, ngram_counts, sentence_bleu
+from objcap.bleu import (
+    closest_ref_length,
+    corpus_bleu,
+    corpus_bleu_parts,
+    corpus_stats,
+    ngram_counts,
+    sentence_bleu,
+)
 
 
 def test_identity_scores_one():
@@ -113,3 +120,35 @@ def test_argument_validation():
         sentence_bleu(["a"], [["a"]], max_n=2, weights=[0.9, 0.2])
     with pytest.raises(ValueError):
         corpus_bleu([])
+
+
+def test_corpus_bleu_parts_manual_aggregation():
+    # same corpus as the two-pair test, plus a short third pair:
+    # hyp=[a], ref=[a cat] -> p1 1/1, no bigrams; c = 6, r = 7
+    pairs = [
+        ("the cat".split(), ["the cat".split()]),
+        ("a dog runs".split(), ["a dog sits".split()]),
+        (["a"], ["a cat".split()]),
+    ]
+    parts = corpus_bleu_parts(pairs, max_n=2)
+    assert parts.precisions == [5 / 6, 2 / 3]
+    assert parts.hyp_length == 6 and parts.ref_length == 7
+    assert parts.brevity_penalty == math.exp(1.0 - 7 / 6)
+    assert parts.score == corpus_bleu(pairs, max_n=2)
+    assert abs(parts.score - math.exp(1.0 - 7 / 6) * math.sqrt(5 / 6 * 2 / 3)) < 1e-12
+
+
+def test_corpus_bleu_parts_empty_hypotheses():
+    parts = corpus_bleu_parts([([], ["a b".split()])], max_n=2)
+    assert parts.score == 0.0 and parts.brevity_penalty == 0.0
+    assert parts.precisions == [0.0, 0.0]
+
+
+def test_corpus_argument_validation():
+    pairs = [(["a"], [["a"]])]
+    with pytest.raises(ValueError):
+        corpus_bleu(pairs, max_n=0)
+    with pytest.raises(ValueError):
+        corpus_bleu(pairs, max_n=2, weights=[0.9, 0.2])
+    with pytest.raises(ValueError):
+        corpus_bleu([(["a"], [])])

@@ -137,3 +137,57 @@ def test_missing_model_config_rejected(tmp_path):
     with pytest.raises(CheckpointError) as e:
         load_checkpoint(path, glove=glove)
     assert "model_config" in str(e.value) and str(path) in str(e.value)
+
+
+def malformed(doc, case):
+    """A copy of a saved checkpoint document, broken in one way."""
+    params, entry = doc["params"], doc["params"]["head.bias"]
+    if case == "top-level-array":
+        return [doc]
+    if case == "no-vocab-tokens":
+        del doc["vocab_tokens"]
+    elif case == "vocab-tokens-not-list":
+        doc["vocab_tokens"] = " ".join(doc["vocab_tokens"])
+    elif case == "no-params":
+        del doc["params"]
+    elif case == "params-not-object":
+        doc["params"] = list(params.values())
+    elif case == "entry-not-object":
+        params["head.bias"] = entry["data"]
+    elif case == "entry-without-shape":
+        del entry["shape"]
+    elif case == "entry-without-data":
+        del entry["data"]
+    elif case == "non-numeric-data":
+        entry["data"] = ["x"] * len(entry["data"])
+    elif case == "data-wrong-length":
+        entry["data"] = entry["data"][1:]
+    elif case == "nan-data":
+        entry["data"][0] = float("nan")
+    return doc
+
+
+@pytest.mark.parametrize(
+    "case, named",
+    [
+        ("top-level-array", "not a JSON object"),
+        ("no-vocab-tokens", "vocab_tokens"),
+        ("vocab-tokens-not-list", "vocab_tokens"),
+        ("no-params", "params"),
+        ("params-not-object", "params"),
+        ("entry-not-object", "head.bias"),
+        ("entry-without-shape", "head.bias"),
+        ("entry-without-data", "head.bias"),
+        ("non-numeric-data", "head.bias"),
+        ("data-wrong-length", "head.bias"),
+        ("nan-data", "head.bias"),
+    ],
+)
+def test_malformed_document_rejected(tmp_path, case, named):
+    _, glove, vocab, model = trained_setup(tmp_path)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, vocab)
+    path.write_text(json.dumps(malformed(json.loads(path.read_text()), case)))
+    with pytest.raises(CheckpointError) as e:
+        load_checkpoint(path, glove=glove)
+    assert named in str(e.value) and str(path) in str(e.value)

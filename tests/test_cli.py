@@ -117,6 +117,22 @@ def test_caption_bad_model_config_exits_1(tmp_path, capsys):
     assert "model_config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["caption", "eval"])
+def test_malformed_checkpoint_exits_1(tmp_path, capsys, command):
+    checkpoint, args = untrained_caption_args(tmp_path)
+    if command == "eval":
+        data_dir = tmp_path / "data"
+        args = ["eval", "--checkpoint", str(checkpoint), "--test", str(data_dir / "records.jsonl"),
+                "--glove", str(data_dir / "glove.txt")]
+    doc = json.loads(checkpoint.read_text())
+    for broken in ([doc], {k: v for k, v in doc.items() if k != "params"},
+                   {k: v for k, v in doc.items() if k != "vocab_tokens"}):
+        checkpoint.write_text(json.dumps(broken))
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert str(checkpoint) in err and "Traceback" not in err
+
+
 def test_bleu_identity_prints_one(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     refs = tmp_path / "refs.txt"

@@ -218,6 +218,74 @@ def test_load_records_missing_field(tmp_path):
     assert "captions" in str(e.value)
 
 
+def record_doc(rec_id="r9"):
+    rec = make_record(rec_id=rec_id, labels=("cat", "dog"))
+    return json.loads(json.dumps({
+        "id": rec.id, "num_objects": rec.num_objects,
+        "objects": [{"label": o.label, "feature": o.feature, "bbox": list(o.bbox), "distance": o.distance}
+                    for o in rec.objects],
+        "captions": rec.captions,
+    }))
+
+
+def load_second_line(tmp_path, bad_line):
+    """load_records on a file whose line 2 is ``bad_line``; returns the error."""
+    p = tmp_path / "records.jsonl"
+    p.write_text(json.dumps(record_doc("r1")) + "\n" + bad_line + "\n")
+    with pytest.raises(ValidationError) as e:
+        load_records(p)
+    assert "line 2" in str(e.value)
+    return str(e.value)
+
+
+def test_load_records_rejects_json_array_line(tmp_path):
+    message = load_second_line(tmp_path, json.dumps([record_doc()]))
+    assert "JSON object" in message
+
+
+def test_load_records_rejects_non_list_objects(tmp_path):
+    doc = record_doc()
+    doc["objects"] = 5
+    assert "r9" in load_second_line(tmp_path, json.dumps(doc))
+    doc["objects"] = [record_doc()["objects"][0], 5]
+    message = load_second_line(tmp_path, json.dumps(doc))
+    assert "r9" in message and "object 1" in message
+
+
+def test_load_records_rejects_three_number_bbox(tmp_path):
+    doc = record_doc()
+    doc["objects"][1]["bbox"] = [1.0, 2.0, 3.0]
+    message = load_second_line(tmp_path, json.dumps(doc))
+    assert "r9" in message and "object 1" in message and "bbox" in message
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_load_records_rejects_non_finite_feature(tmp_path, value):
+    doc = record_doc()
+    doc["objects"][0]["feature"][1] = value
+    message = load_second_line(tmp_path, json.dumps(doc))
+    assert "r9" in message and "object 0 feature" in message
+
+
+def test_load_records_rejects_non_numeric_values(tmp_path):
+    for field, value in (("feature", ["a", "b", "c"]), ("bbox", "wide"), ("distance", None)):
+        doc = record_doc()
+        doc["objects"][0][field] = value
+        message = load_second_line(tmp_path, json.dumps(doc))
+        assert "r9" in message and f"object 0 {field}" in message
+
+
+def test_validate_rejects_non_finite_bbox_and_distance():
+    rec = make_record()
+    rec.objects[0].distance = float("nan")
+    with pytest.raises(ValidationError):
+        validate_record(rec)
+    rec = make_record()
+    rec.objects[0].bbox = (float("inf"), 0.0, 1.0, 1.0)
+    with pytest.raises(ValidationError):
+        validate_record(rec)
+
+
 # --- glove ---
 
 

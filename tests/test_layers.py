@@ -5,13 +5,13 @@ import pytest
 
 from objcap.layers import (
     DenseParams,
+    EmbeddingTable,
     LstmParams,
     bilstm,
     dense,
     dense_init,
     embed,
     embedding_init,
-    frozen_embedding,
     lstm_init,
     lstm_step,
     lstm_unroll,
@@ -112,6 +112,28 @@ def test_lstm_shape_mismatch():
         lstm_step(p, zeros((1, 5)), zeros((1, 3)), zeros((1, 3)))
 
 
+def test_lstm_step_batched_rows_match_single_rows():
+    p = lstm_init(5, 4, rng(60))
+    x = Tensor(rng(61).uniform(-1, 1, (6, 5)))
+    h = Tensor(rng(62).uniform(-1, 1, (6, 4)))
+    c = Tensor(rng(63).uniform(-1, 1, (6, 4)))
+    hb, cb = lstm_step(p, x, h, c)
+    assert hb.shape == cb.shape == (6, 4)
+    for r in range(6):
+        row = slice(r, r + 1)
+        hr, cr = lstm_step(p, Tensor(x.data[row]), Tensor(h.data[row]), Tensor(c.data[row]))
+        assert np.allclose(hb.data[row], hr.data, rtol=0.0, atol=1e-12)
+        assert np.allclose(cb.data[row], cr.data, rtol=0.0, atol=1e-12)
+
+
+def test_lstm_step_rejects_mismatched_rows():
+    p = lstm_init(5, 3, rng(64))
+    with pytest.raises(ValueError):
+        lstm_step(p, zeros((2, 5)), zeros((1, 3)), zeros((2, 3)))
+    with pytest.raises(ValueError):
+        lstm_step(p, zeros((2, 5)), zeros((2, 3)), zeros((3, 3)))
+
+
 def test_lstm_step_gradients():
     p = lstm_init(3, 2, rng(10))
     x = rand_row(3, 11)
@@ -204,8 +226,17 @@ def test_bilstm_gradients():
 
 
 def test_embed_identity_table():
-    table = frozen_embedding(np.eye(3))
+    table = EmbeddingTable(Tensor(np.eye(3), requires_grad=False))
     assert np.array_equal(embed(table, 1).data, [[0.0, 1.0, 0.0]])
+
+
+def test_embed_batched_ids_give_stacked_rows():
+    table = embedding_init(5, 4, rng(26))
+    ids = np.array([4, 0, 4])
+    out = embed(table, ids)
+    assert out.shape == (3, 4)
+    for r, i in enumerate(ids):
+        assert np.array_equal(out.data[r : r + 1], embed(table, int(i)).data)
 
 
 def test_embed_deterministic():
@@ -236,7 +267,7 @@ def test_embed_gradient_only_touched_row():
 
 
 def test_frozen_embedding_gets_no_gradient():
-    table = frozen_embedding(rng(30).uniform(-1, 1, (4, 3)))
+    table = EmbeddingTable(Tensor(rng(30).uniform(-1, 1, (4, 3)), requires_grad=False))
     w = dense_init(3, 2, rng(31))
     with Tape() as tape:
         loss = cross_entropy(dense(w, embed(table, 1)), 0)

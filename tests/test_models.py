@@ -10,6 +10,7 @@ from objcap.models import (
     build,
     decode_beam,
     decode_greedy,
+    decode_greedy_batch,
     decode_step,
     encode,
     encode_objects,
@@ -21,7 +22,7 @@ from objcap.models import (
     _log_softmax_row,
     _scored_greedy,
 )
-from objcap.tensor import Tensor, add, cross_entropy, softmax
+from objcap.tensor import Tensor, add, concat, cross_entropy, softmax
 from objcap.data import synth_corpus, build_vocab
 from gradcheck import finite_diff_check
 
@@ -339,6 +340,67 @@ def test_greedy_tie_breaks_to_lowest_index():
     zero_params(model)  # all logits equal -> argmax is index 0
     out = decode_greedy(model, random_encoding(model, 1))
     assert out == [0] * model.config.max_caption_len
+
+
+def reference_greedy(model, encoding):
+    """Per-image greedy decoding one decode_step at a time, argmax of each
+    logits row taking the lowest index among equal maxima."""
+    state, token, out = _init_state(model), START, []
+    for _ in range(model.config.max_caption_len):
+        logits, state = decode_step(model, encoding, state, token)
+        token = int(np.argmax(logits))
+        if token == END:
+            break
+        out.append(token)
+    return out
+
+
+def test_batched_walk_matches_per_image_greedy():
+    # 20 seeds x 3 variants; besides random weights the set holds zero-weight
+    # heads with zero or integer biases, whose logits tie exactly
+    mixed = 0
+    for name, model in threshold_models(range(20)):
+        encodings = [random_encoding(model, 1000 * k + len(name)) for k in range(6)]
+        batched = decode_greedy_batch(model, concat(encodings, axis=0))
+        assert batched == [reference_greedy(model, enc) for enc in encodings], name
+        assert batched == [decode_greedy(model, enc) for enc in encodings], name
+        mixed += len({len(ids) for ids in batched}) > 1
+    # zero-weight heads decode every row alike; most random-weight batches
+    # hold rows that stop at different steps
+    assert mixed >= 10, mixed
+
+
+def test_batched_walk_ties_break_to_lowest_index():
+    for variant in ("m1", "m2", "m3"):
+        model = tiny_model(variant)
+        zero_params(model)  # every logit is 0: each row picks token 0 to max_len
+        encodings = concat([random_encoding(model, k) for k in range(4)], axis=0)
+        assert decode_greedy_batch(model, encodings) == [[0] * model.config.max_caption_len] * 4
+
+
+def test_batched_walk_respects_max_len():
+    model = tiny_model("m1", seed=3)
+    encodings = concat([random_encoding(model, k) for k in range(5)], axis=0)
+    for max_len in (1, 2, 5):
+        assert all(len(ids) <= max_len for ids in decode_greedy_batch(model, encodings, max_len))
+
+
+def test_decode_step_one_id_gives_a_row_and_ids_give_a_matrix():
+    model = tiny_model("m2", seed=5)
+    encodings = [random_encoding(model, k) for k in range(3)]
+    stacked, _ = decode_step(model, concat(encodings, axis=0), _init_state(model, 3), np.array([START] * 3))
+    assert stacked.shape == (3, model.config.vocab_size)
+    for r, enc in enumerate(encodings):
+        row, _ = decode_step(model, enc, _init_state(model), START)
+        assert row.shape == (model.config.vocab_size,)
+        assert np.allclose(stacked[r], row, rtol=0.0, atol=1e-12)
+
+
+def test_decode_greedy_takes_one_image():
+    model = tiny_model("m1")
+    encodings = concat([random_encoding(model, k) for k in range(2)], axis=0)
+    with pytest.raises(ValidationError):
+        decode_greedy(model, encodings)
 
 
 # --- beam decoding ---

@@ -237,6 +237,8 @@ def test_no_tape_means_no_recording():
         ("softmax", lambda p: sum_all(mul(softmax(p[5]), p[6]))),
         ("cross_entropy", lambda p: cross_entropy(p[5], 2)),
         ("take_row", lambda p: sum_all(tanh(take_row(p[0], 1)))),
+        # batched rows with a repeated index: the scatter-add sums both copies
+        ("take_row_batched", lambda p: sum_all(mul(tanh(take_row(p[1], np.array([2, 0, 2]))), p[7]))),
     ],
 )
 def test_gradients_match_finite_differences(name, build):
@@ -249,6 +251,7 @@ def test_gradients_match_finite_differences(name, build):
         Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True),    # 4
         Tensor(rng.uniform(-1, 1, (5,)), requires_grad=True),    # 5
         Tensor(rng.uniform(-1, 1, (5,)), requires_grad=True),    # 6
+        Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True),  # 7
     ]
     finite_diff_check(lambda: build(params), params)
 
@@ -313,3 +316,27 @@ def test_values_finite_after_passes():
     assert np.all(np.isfinite(h.data))
     assert np.all(np.isfinite(loss.data))
     assert np.all(np.isfinite(w.grad))
+
+
+def test_take_row_batched_stacks_rows():
+    table = Tensor(np.arange(12.0).reshape(4, 3))
+    out = take_row(table, np.array([3, 1, 3]))
+    assert np.array_equal(out.data, table.data[[3, 1, 3]])
+    assert np.array_equal(take_row(table, 2).data, take_row(table, np.array([2])).data)
+
+
+def test_take_row_batched_gradient_adds_repeated_rows():
+    table = Tensor(np.zeros((4, 2)), requires_grad=True)
+    weights = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    with Tape() as tape:
+        loss = sum_all(mul(take_row(table, np.array([1, 3, 1])), weights))
+    backward(loss, tape)
+    assert np.array_equal(table.grad, [[0.0, 0.0], [6.0, 8.0], [0.0, 0.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "index", [4, -1, np.array([0, 4]), np.array([-1, 0]), np.array([[0]]), np.array([0.0]), 1.0]
+)
+def test_take_row_rejects_bad_indices(index):
+    with pytest.raises(ValueError):
+        take_row(Tensor(np.zeros((4, 2))), index)

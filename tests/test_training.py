@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from objcap.data import ValidationError, build_vocab, synth_corpus
-from objcap.models import ModelConfig, build
+from objcap import training
+from objcap.bleu import corpus_bleu, corpus_stats
+from objcap.data import ValidationError, build_vocab, synth_corpus, tokenize
+from objcap.models import ModelConfig, build, decode_greedy, encode, example_from_record
 from objcap.tensor import Tensor
 from objcap.training import (
+    DECODE_BLOCK,
     Adam,
+    EvalReport,
     RunHistory,
     Sgd,
     TrainConfig,
@@ -204,3 +208,62 @@ def test_evaluate_memorized_corpus_scores_one():
     train(model, records, [], cfg, vocab)
     report = evaluate(model, records, vocab)
     assert report.bleu == 1.0
+
+
+def reference_evaluate(model, test_set, vocab, max_n=4):
+    """The per-image evaluation: one decode_greedy per image, and the report
+    assembled field by field from corpus_stats. Also returns the captions."""
+    pairs = []
+    for rec in sorted(test_set, key=lambda r: r.id):
+        ids = decode_greedy(model, encode(model, example_from_record(rec, vocab, model.config)))
+        pairs.append(([vocab.token_at(i) for i in ids], [tokenize(c) for c in rec.captions]))
+    clipped, totals, hyp_len, ref_len = corpus_stats(pairs, max_n=max_n)
+    if hyp_len == 0:
+        bp = 0.0
+    else:
+        bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    report = EvalReport(
+        bleu=corpus_bleu(pairs, max_n=max_n),
+        max_n=max_n,
+        precisions=[(clipped[k] / totals[k]) if totals[k] else 0.0 for k in range(max_n)],
+        brevity_penalty=bp,
+        hyp_length=hyp_len,
+        ref_length=ref_len,
+        n_images=len(pairs),
+    )
+    return report, [hyp for hyp, _ in pairs]
+
+
+def test_evaluate_in_several_blocks_matches_per_image_reference():
+    records, glove, vocab, model = small_setup(n_images=170, seed=2, model_seed=4)
+    train(model, records[:16], [], TrainConfig(epochs=20, learning_rate=1e-2, rng_seed=0), vocab)
+    test_set = records[16:]
+    assert len(test_set) > 2 * DECODE_BLOCK
+    expected, captions = reference_evaluate(model, test_set, vocab)
+    assert len({len(c) for c in captions}) > 1  # captions stop at different steps
+    assert expected.bleu > 0.0
+    assert evaluate(model, test_set, vocab).to_json() == expected.to_json()
+    assert validation_bleu(model, test_set, vocab) == expected.bleu
+
+
+FIXED_PAIRS = [
+    ("a cat sits on the mat".split(), ["a cat sat on the mat".split(), "the cat is on a mat".split()]),
+    ("two dogs run".split(), ["two dogs run in the park".split(), "dogs running in a park".split()]),
+    ("the cat on the mat".split(), ["a cat on the mat".split()]),
+]
+
+
+@pytest.mark.parametrize(
+    "max_n, expected",
+    [
+        (4, '{"bleu":0.4331572214520501,"brevity_penalty":0.8668778997501817,"hyp_length":14,'
+            '"max_n":4,"n_images":3,"precisions":[0.8571428571428571,0.7272727272727273,0.5,0.2],'
+            '"ref_length":16}'),
+        (2, '{"bleu":0.6844365401565561,"brevity_penalty":0.8668778997501817,"hyp_length":14,'
+            '"max_n":2,"n_images":3,"precisions":[0.8571428571428571,0.7272727272727273],'
+            '"ref_length":16}'),
+    ],
+)
+def test_eval_report_json_pinned_on_fixed_corpus(monkeypatch, max_n, expected):
+    monkeypatch.setattr(training, "_decode_pairs", lambda model, records, vocab: FIXED_PAIRS)
+    assert evaluate(None, [None] * 3, None, max_n=max_n).to_json() == expected
