@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
-from .data import RESERVED_TOKENS, GloveTable, ValidationError, Vocabulary
+from .data import RESERVED_TOKENS, GloveTable, ValidationError, Vocabulary, glove_lines
 from .models import Model, ModelConfig, build
 
 FORMAT_VERSION = 1
@@ -30,11 +32,7 @@ def _sha256(text: str) -> str:
 
 
 def glove_fingerprint(table: GloveTable) -> str:
-    lines = []
-    for word in sorted(table.vectors):
-        vals = " ".join(repr(float(v)) for v in table.vectors[word])
-        lines.append(f"{word} {vals}")
-    return _sha256("\n".join(lines))
+    return _sha256("\n".join(glove_lines(table)))
 
 
 def vocab_fingerprint(tokens: list[str]) -> str:
@@ -57,9 +55,17 @@ def save_checkpoint(path, model: Model, vocab: Vocabulary) -> None:
             for name, p in model.params.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    # write a sibling temp file, then rename it over the target: an
+    # interrupted save leaves the previous checkpoint as it was
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocabulary]:

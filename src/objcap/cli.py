@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .bleu import corpus_bleu
@@ -30,24 +31,23 @@ from .data import (
 from .models import ModelConfig, build, decode_beam, decode_greedy, encode, example_from_record
 from .training import TrainConfig, evaluate, train
 
-_RUNSPEC_DEFAULTS = {
-    "reduced_dim": 128,
-    "text_embed_dim": 256,
-    "lang_hidden": 256,
-    "decoder_hidden": None,
-    "label_embed_dim": None,
-    "max_objects": None,
-    "model_seed": 0,
-    "learning_rate": 1e-3,
-    "batch_size": 4,
-    "optimizer": "adam",
-    "grad_clip_norm": 5.0,
-    "train_seed": 0,
-    "glove": None,
-    "min_count": 1,
-    "split_seed": 0,
+
+def _config_fields():
+    """(config class, run config key, field) for every ModelConfig and
+    TrainConfig field that a run config sets: all but vocab_size, which the
+    vocabulary fixes, with each rng_seed spelled model_seed or train_seed."""
+    for cls, seed_key in ((ModelConfig, "model_seed"), (TrainConfig, "train_seed")):
+        for f in fields(cls):
+            if f.name != "vocab_size":
+                yield cls, seed_key if f.name == "rng_seed" else f.name, f
+
+
+_RUNSPEC_DEFAULTS = {"glove": None, "min_count": 1, "split_seed": 0} | {
+    key: f.default for _, key, f in _config_fields() if f.default is not MISSING
 }
-_RUNSPEC_REQUIRED = {"variant", "visual_dim", "max_caption_len", "epochs", "records", "out_dir"}
+_RUNSPEC_REQUIRED = {"records", "out_dir"} | {
+    key for _, key, f in _config_fields() if f.default is MISSING
+}
 _RUNSPEC_KEYS = _RUNSPEC_REQUIRED | set(_RUNSPEC_DEFAULTS)
 
 
@@ -71,6 +71,11 @@ def load_runspec(path) -> dict:
         if spec.get(key) is not None:
             spec[key] = str(base / spec[key])  # absolute inputs pass through
     return spec
+
+
+def _config_args(spec: dict, cls) -> dict:
+    """The constructor arguments of ``cls`` that a run config sets."""
+    return {f.name: spec[key] for owner, key, f in _config_fields() if owner is cls}
 
 
 def _cmd_prepare(args) -> int:
@@ -101,28 +106,9 @@ def _cmd_train(args) -> int:
     glove = load_glove(spec["glove"]) if spec["glove"] else None
     train_set, val_set, test_set = split_dataset(records, seed=spec["split_seed"])
     vocab = build_vocab(train_set, min_count=spec["min_count"])
-    config = ModelConfig(
-        variant=spec["variant"],
-        visual_dim=spec["visual_dim"],
-        vocab_size=len(vocab),
-        max_caption_len=spec["max_caption_len"],
-        reduced_dim=spec["reduced_dim"],
-        text_embed_dim=spec["text_embed_dim"],
-        lang_hidden=spec["lang_hidden"],
-        decoder_hidden=spec["decoder_hidden"],
-        label_embed_dim=spec["label_embed_dim"],
-        max_objects=spec["max_objects"],
-        rng_seed=spec["model_seed"],
-    )
+    config = ModelConfig(vocab_size=len(vocab), **_config_args(spec, ModelConfig))
     model = build(config, glove=glove if config.variant == "m3" else None)
-    train_config = TrainConfig(
-        epochs=spec["epochs"],
-        learning_rate=spec["learning_rate"],
-        batch_size=spec["batch_size"],
-        optimizer=spec["optimizer"],
-        grad_clip_norm=spec["grad_clip_norm"],
-        rng_seed=spec["train_seed"],
-    )
+    train_config = TrainConfig(**_config_args(spec, TrainConfig))
     history = train(model, train_set, val_set, train_config, vocab)
     out_dir = Path(spec["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

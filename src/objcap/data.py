@@ -144,7 +144,7 @@ def _record_from_json(doc, where: str) -> ImageRecord:
 
 
 def load_records(path) -> list[ImageRecord]:
-    """Read and validate a JSON-lines records file."""
+    """Read and validate a JSON-lines records file; errors name file and line."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -153,8 +153,8 @@ def load_records(path) -> list[ImageRecord]:
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValidationError(f"line {lineno}: not valid JSON: {e}") from None
-            records.append(_record_from_json(doc, where=f"line {lineno}"))
+                raise ValidationError(f"{path}, line {lineno}: not valid JSON: {e}") from None
+            records.append(_record_from_json(doc, where=f"{path}, line {lineno}"))
     return records
 
 
@@ -283,7 +283,7 @@ class GloveTable:
 
 
 def load_glove(path) -> GloveTable:
-    """Parse the standard text format: word followed by d decimal values."""
+    """Parse the standard text format: word followed by d finite decimal values."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open(path, encoding="utf-8") as fh:
@@ -291,29 +291,35 @@ def load_glove(path) -> GloveTable:
             parts = line.split()
             if not parts:
                 continue
+            where = f"{path}, line {lineno}"
             word, values = parts[0], parts[1:]
             if dim is None:
                 if not values:
-                    raise ValidationError(f"line {lineno}: no vector values")
+                    raise ValidationError(f"{where}: no vector values")
                 dim = len(values)
             elif len(values) != dim:
-                raise ValidationError(
-                    f"line {lineno}: expected {dim} values, got {len(values)}"
-                )
+                raise ValidationError(f"{where}: expected {dim} values, got {len(values)}")
             try:
                 vectors[word] = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
-                raise ValidationError(f"line {lineno}: non-numeric vector value") from None
+                raise ValidationError(f"{where}: non-numeric vector value") from None
+            if not np.isfinite(vectors[word]).all():
+                raise ValidationError(f"{where}: vector value is NaN or infinite")
     if dim is None:
-        raise ValidationError("GLOVE file is empty")
+        raise ValidationError(f"{path}: GLOVE file is empty")
     return GloveTable(vectors=vectors, dim=dim)
+
+
+def glove_lines(table: GloveTable):
+    """The GLOVE text lines of ``table``, sorted by word, without newlines:
+    the word, then each value as its shortest round-trip repr."""
+    for word in sorted(table.vectors):
+        yield word + " " + " ".join(repr(float(v)) for v in table.vectors[word])
 
 
 def write_glove(path, table: GloveTable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for word in sorted(table.vectors):
-            vals = " ".join(repr(float(v)) for v in table.vectors[word])
-            fh.write(f"{word} {vals}\n")
+        fh.writelines(line + "\n" for line in glove_lines(table))
 
 
 # ---------------------------------------------------------------------------

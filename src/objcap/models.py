@@ -18,7 +18,7 @@ in which objects arrive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -96,19 +96,35 @@ class ModelConfig:
         return self.fused_dim if self.variant == "m3" else self.reduced_dim
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Model:
+    """The layers of one variant, listed in creation order.
+
+    ``params`` names every Tensor field of every layer "<layer>.<field>", in
+    field order: the checkpoint names, and the order ``clip_gradients`` sums
+    the gradients in.
+    """
+
     config: ModelConfig
-    params: dict[str, Tensor]
     word_embed: EmbeddingTable
     lang_lstm: LstmParams
     reduce: DenseParams
-    head: DenseParams
+    object_conv: DenseParams | None = None  # m3
     decoder: LstmParams | None = None  # m1/m3
     decoder_fwd: LstmParams | None = None  # m2
     decoder_bwd: LstmParams | None = None  # m2
-    object_conv: DenseParams | None = None  # m3
+    head: DenseParams
     glove: GloveTable | None = None  # m3, frozen
+    params: dict[str, Tensor] = field(init=False)
+
+    def __post_init__(self):
+        self.params = {}
+        for layer in fields(self):
+            value = getattr(self, layer.name, None)  # params itself is not set yet
+            for f in fields(value) if is_dataclass(value) else ():
+                tensor = getattr(value, f.name)
+                if isinstance(tensor, Tensor):
+                    self.params[f"{layer.name}.{f.name}"] = tensor
 
 
 def build(config: ModelConfig, glove: GloveTable | None = None) -> Model:
@@ -122,50 +138,23 @@ def build(config: ModelConfig, glove: GloveTable | None = None) -> Model:
             f"GLOVE dimension {glove.dim} != label_embed_dim {config.label_embed_dim}"
         )
     rng = np.random.default_rng(config.rng_seed)
-    params: dict[str, Tensor] = {}
-
-    word_embed = embedding_init(config.vocab_size, config.text_embed_dim, rng)
-    params["word_embed.table"] = word_embed.table
-    lang = lstm_init(config.text_embed_dim, config.lang_hidden, rng)
-    params["lang_lstm.W"], params["lang_lstm.U"], params["lang_lstm.b"] = lang.W, lang.U, lang.b
-    reduce = dense_init(config.visual_dim, config.reduced_dim, rng)
-    params["reduce.weight"], params["reduce.bias"] = reduce.weight, reduce.bias
-
-    conv = decoder = decoder_fwd = decoder_bwd = None
+    layers = dict(
+        word_embed=embedding_init(config.vocab_size, config.text_embed_dim, rng),
+        lang_lstm=lstm_init(config.text_embed_dim, config.lang_hidden, rng),
+        reduce=dense_init(config.visual_dim, config.reduced_dim, rng),
+    )
     dec_in = config.encoding_dim + config.lang_hidden
     if config.variant == "m3":
-        conv = dense_init(3 * config.fused_dim, config.fused_dim, rng)
-        params["object_conv.weight"], params["object_conv.bias"] = conv.weight, conv.bias
+        layers["object_conv"] = dense_init(3 * config.fused_dim, config.fused_dim, rng)
     if config.variant in ("m1", "m3"):
-        decoder = lstm_init(dec_in, config.decoder_hidden, rng)
-        params["decoder.W"], params["decoder.U"], params["decoder.b"] = decoder.W, decoder.U, decoder.b
+        layers["decoder"] = lstm_init(dec_in, config.decoder_hidden, rng)
         head_in = config.decoder_hidden
     else:
-        decoder_fwd = lstm_init(dec_in, config.decoder_hidden, rng)
-        decoder_bwd = lstm_init(dec_in, config.decoder_hidden, rng)
-        params["decoder_fwd.W"], params["decoder_fwd.U"], params["decoder_fwd.b"] = (
-            decoder_fwd.W, decoder_fwd.U, decoder_fwd.b,
-        )
-        params["decoder_bwd.W"], params["decoder_bwd.U"], params["decoder_bwd.b"] = (
-            decoder_bwd.W, decoder_bwd.U, decoder_bwd.b,
-        )
+        layers["decoder_fwd"] = lstm_init(dec_in, config.decoder_hidden, rng)
+        layers["decoder_bwd"] = lstm_init(dec_in, config.decoder_hidden, rng)
         head_in = 2 * config.decoder_hidden
-
-    head = dense_init(head_in, config.vocab_size, rng)
-    params["head.weight"], params["head.bias"] = head.weight, head.bias
-    return Model(
-        config=config,
-        params=params,
-        word_embed=word_embed,
-        lang_lstm=lang,
-        reduce=reduce,
-        head=head,
-        decoder=decoder,
-        decoder_fwd=decoder_fwd,
-        decoder_bwd=decoder_bwd,
-        object_conv=conv,
-        glove=glove,
-    )
+    layers["head"] = dense_init(head_in, config.vocab_size, rng)
+    return Model(config=config, glove=glove, **layers)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ __all__ = [
     "matmul",
     "mul",
     "scale",
-    "seeded_init",
     "glorot_uniform",
     "sigmoid",
     "slice_axis",
@@ -169,16 +168,6 @@ def glorot_uniform(shape, rng: np.random.Generator, requires_grad: bool = True) 
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     data = rng.uniform(-bound, bound, size=dims)
     return Tensor._wrap(np.ascontiguousarray(data), requires_grad)
-
-
-def seeded_init(kind: str, shape, rng_seed: int) -> Tensor:
-    """Deterministic parameter initialization from an integer seed."""
-    if kind == "zeros":
-        return zeros(shape, requires_grad=True)
-    if kind == "uniform_glorot":
-        rng = np.random.default_rng(rng_seed)
-        return glorot_uniform(shape, rng)
-    raise ValueError(f"unknown init kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------

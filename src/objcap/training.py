@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -166,7 +166,9 @@ def train(
     """Optimize the model in place; returns the per-epoch history.
 
     Each record contributes its first caption as the training target; the
-    remaining captions serve as extra references at evaluation time.
+    remaining captions serve as extra references at evaluation time. A
+    batch whose loss or gradient norm is not finite raises ValidationError
+    naming the epoch and the batch, before it updates the weights.
     """
     if not train_set:
         raise ValidationError("training set is empty")
@@ -193,10 +195,15 @@ def train(
                     batch_tokens += steps_i
                 batch_loss = scale(batch_sum, 1.0 / batch_tokens)
             backward(batch_loss, tape)
-            if config.grad_clip_norm is not None:
-                clip_gradients(model.params, config.grad_clip_norm)
+            norm = clip_gradients(model.params, config.grad_clip_norm or math.inf)
+            nats = batch_sum.item()
+            if not (math.isfinite(nats) and math.isfinite(norm)):
+                raise ValidationError(
+                    f"epoch {epoch}, batch {start // config.batch_size + 1}: non-finite "
+                    f"training loss {nats} or gradient norm {norm}; the weights were not updated"
+                )
             opt.step()
-            epoch_nats += batch_sum.item()
+            epoch_nats += nats
             epoch_tokens += batch_tokens
         val = validation_bleu(model, val_set, vocab)
         history.append(
@@ -225,16 +232,7 @@ class EvalReport:
     n_images: int
 
     def to_json(self) -> str:
-        doc = {
-            "bleu": self.bleu,
-            "max_n": self.max_n,
-            "precisions": self.precisions,
-            "brevity_penalty": self.brevity_penalty,
-            "hyp_length": self.hyp_length,
-            "ref_length": self.ref_length,
-            "n_images": self.n_images,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def evaluate(model: Model, test_set: list[ImageRecord], vocab: Vocabulary, max_n: int = 4) -> EvalReport:

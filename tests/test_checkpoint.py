@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from objcap.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from objcap.checkpoint import CheckpointError, glove_fingerprint, load_checkpoint, save_checkpoint
 from objcap.data import GloveTable, build_vocab, synth_corpus
 from objcap.models import ModelConfig, build, decode_greedy, encode, example_from_record
 from objcap.training import TrainConfig, train
@@ -68,6 +68,35 @@ def test_glove_mismatch_rejected(tmp_path):
     assert "GLOVE" in str(e.value)
     with pytest.raises(CheckpointError):
         load_checkpoint(path, glove=None)
+
+
+def test_glove_fingerprint_pinned():
+    # checkpoints saved so far carry this hash; a change would refuse them all
+    table = GloveTable(
+        vectors={"dog": np.array([0.5, -1.25, 3.0]), "cat": np.array([1.0, 0.1, -2e-7])}, dim=3
+    )
+    assert glove_fingerprint(table) == "48c684c251609794f1dfe803be364ffdb699034bebd17022b185d934965eead9"
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_interrupted_save_leaves_previous_checkpoint(tmp_path, monkeypatch, existing):
+    _, _, vocab, model = trained_setup(tmp_path, "m1", epochs=1)
+    path = tmp_path / "ck.json"
+    if existing:
+        save_checkpoint(path, model, vocab)
+        before = path.read_bytes()
+    model.params["head.bias"].data += 1.0
+
+    def dump_partway(doc, fh, **kwargs):
+        fh.write('{"format_version":')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_partway)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model, vocab)
+    assert [p.name for p in tmp_path.iterdir()] == (["ck.json"] if existing else [])
+    if existing:
+        assert path.read_bytes() == before
 
 
 def test_tampered_vocab_rejected(tmp_path):

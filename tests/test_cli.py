@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
+from objcap import cli
 from objcap.checkpoint import save_checkpoint
 from objcap.cli import load_runspec, main
 from objcap.data import ValidationError, build_vocab, load_glove, load_records
 from objcap.models import ModelConfig, build
+from objcap.training import TrainConfig
 
 
 def write_runspec(path, data_dir, out_dir, **overrides):
@@ -189,6 +191,39 @@ def test_runspec_missing_required_key(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_runspec_keys_and_defaults_pinned():
+    required = {"variant", "visual_dim", "max_caption_len", "epochs", "records", "out_dir"}
+    defaults = {
+        "reduced_dim": 128, "text_embed_dim": 256, "lang_hidden": 256, "decoder_hidden": None,
+        "label_embed_dim": None, "max_objects": None, "model_seed": 0, "learning_rate": 1e-3,
+        "batch_size": 4, "optimizer": "adam", "grad_clip_norm": 5.0, "train_seed": 0,
+        "glove": None, "min_count": 1, "split_seed": 0,
+    }
+    assert cli._RUNSPEC_REQUIRED == required
+    assert cli._RUNSPEC_DEFAULTS == defaults
+    assert cli._RUNSPEC_KEYS == required | set(defaults)
+
+
+def test_train_passes_every_runspec_key_to_its_config(tmp_path, monkeypatch):
+    data_dir = tmp_path / "data"
+    main(synth_args(data_dir))
+    config = tmp_path / "run.json"
+    write_runspec(config, data_dir, tmp_path / "run", epochs=1, model_seed=3, train_seed=5,
+                  learning_rate=0.01, optimizer="sgd", grad_clip_norm=None, batch_size=2)
+    seen = {}
+    real_train = cli.train
+
+    def spy_train(model, train_set, val_set, train_config, vocab):
+        seen.update(model=model.config, train=train_config)
+        return real_train(model, train_set, val_set, train_config, vocab)
+
+    monkeypatch.setattr(cli, "train", spy_train)
+    assert main(["train", "--config", str(config)]) == 0
+    assert (seen["model"].rng_seed, seen["model"].decoder_hidden, seen["model"].label_embed_dim) == (3, 12, 6)
+    assert seen["train"] == TrainConfig(epochs=1, learning_rate=0.01, batch_size=2, optimizer="sgd",
+                                        grad_clip_norm=None, rng_seed=5)
+
+
 def test_runspec_relative_paths(tmp_path):
     data_dir = tmp_path / "data"
     main(synth_args(data_dir))
@@ -231,6 +266,30 @@ def test_prepare_roundtrip(tmp_path):
     fp.write_text(json.dumps(feats))
     assert main(["prepare", "--coco-captions", str(cp), "--features", str(fp), "--out", str(op)]) == 0
     assert len(load_records(op)) == 1
+
+
+def test_eval_bad_glove_exits_1_naming_the_file(tmp_path):
+    glove = tmp_path / "glove.txt"
+    glove.write_text("dog 0.5 2.0\ncat nan 1.0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "objcap.cli", "eval", "--checkpoint", str(tmp_path / "ck.json"),
+         "--test", str(tmp_path / "test.jsonl"), "--glove", str(glove)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert str(glove) in proc.stderr and "line 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_bad_records_names_the_file(tmp_path, capsys):
+    checkpoint, _ = untrained_caption_args(tmp_path)
+    test = tmp_path / "test.jsonl"
+    test.write_text((tmp_path / "data" / "records.jsonl").read_text().splitlines()[0] + "\n{oops\n")
+    args = ["eval", "--checkpoint", str(checkpoint), "--test", str(test),
+            "--glove", str(tmp_path / "data" / "glove.txt")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert str(test) in err and "line 2" in err and "Traceback" not in err
 
 
 def test_module_entry_point(tmp_path):

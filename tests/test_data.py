@@ -19,6 +19,7 @@ from objcap.data import (
     convert_coco,
     decode_caption,
     encode_caption,
+    glove_lines,
     load_glove,
     load_records,
     split_dataset,
@@ -234,13 +235,17 @@ def load_second_line(tmp_path, bad_line):
     p.write_text(json.dumps(record_doc("r1")) + "\n" + bad_line + "\n")
     with pytest.raises(ValidationError) as e:
         load_records(p)
-    assert "line 2" in str(e.value)
+    assert f"{p}, line 2" in str(e.value)
     return str(e.value)
 
 
 def test_load_records_rejects_json_array_line(tmp_path):
     message = load_second_line(tmp_path, json.dumps([record_doc()]))
     assert "JSON object" in message
+
+
+def test_load_records_rejects_invalid_json_line(tmp_path):
+    assert "not valid JSON" in load_second_line(tmp_path, "{oops")
 
 
 def test_load_records_rejects_non_list_objects(tmp_path):
@@ -311,6 +316,35 @@ def test_glove_dimension_error_names_line(tmp_path):
     with pytest.raises(ValidationError) as e:
         load_glove(p)
     assert "line 2" in str(e.value)
+
+
+@pytest.mark.parametrize("text", [
+    "cat 0.1 0.2\ndog 0.3\n", "cat 0.1 0.2\ndog 0.3 x\n", "cat 0.1\ndog\n", "\n\n",
+])
+def test_glove_errors_name_the_file(tmp_path, text):
+    p = tmp_path / "glove.txt"
+    p.write_text(text)
+    with pytest.raises(ValidationError) as e:
+        load_glove(p)
+    assert str(p) in str(e.value)
+    assert "line 2" in str(e.value) or "empty" in str(e.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_glove_non_finite_value_rejected(tmp_path, value):
+    p = tmp_path / "glove.txt"
+    p.write_text(f"dog 0.5 2.0\ncat {value} 1.0\n")
+    with pytest.raises(ValidationError) as e:
+        load_glove(p)
+    assert f"{p}, line 2: vector value is NaN or infinite" in str(e.value)
+
+
+def test_write_glove_text_pinned(tmp_path):
+    table = GloveTable(vectors={"dog": np.array([0.5, -1.25, 3.0]), "cat": np.array([1.0, 0.1, -2e-7])}, dim=3)
+    p = tmp_path / "glove.txt"
+    write_glove(p, table)
+    assert p.read_text() == "cat 1.0 0.1 -2e-07\ndog 0.5 -1.25 3.0\n"
+    assert list(glove_lines(table)) == p.read_text().splitlines()
 
 
 def test_glove_write_read_round_trip(tmp_path):

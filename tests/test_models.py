@@ -123,6 +123,22 @@ def test_build_deterministic_bytes():
     assert any(a.params[n].data.tobytes() != c.params[n].data.tobytes() for n in a.params)
 
 
+_HEAD = ["word_embed.table", "lang_lstm.W", "lang_lstm.U", "lang_lstm.b", "reduce.weight", "reduce.bias"]
+_TAIL = ["head.weight", "head.bias"]
+
+
+@pytest.mark.parametrize("variant, expected", [
+    ("m1", _HEAD + ["decoder.W", "decoder.U", "decoder.b"] + _TAIL),
+    ("m2", _HEAD + ["decoder_fwd.W", "decoder_fwd.U", "decoder_fwd.b",
+                    "decoder_bwd.W", "decoder_bwd.U", "decoder_bwd.b"] + _TAIL),
+    ("m3", _HEAD + ["object_conv.weight", "object_conv.bias",
+                    "decoder.W", "decoder.U", "decoder.b"] + _TAIL),
+])
+def test_param_names_and_order_pinned(variant, expected):
+    # the checkpoint names, and the order clip_gradients sums the gradients in
+    assert list(tiny_model(variant).params) == expected
+
+
 def test_build_m1_reference_dimensions():
     cfg = ModelConfig(variant="m1", visual_dim=4096, vocab_size=50, max_caption_len=16)
     model = build(cfg)

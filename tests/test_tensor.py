@@ -11,10 +11,10 @@ from objcap.tensor import (
     backward,
     concat,
     cross_entropy,
+    glorot_uniform,
     matmul,
     mul,
     scale,
-    seeded_init,
     sigmoid,
     slice_axis,
     softmax,
@@ -270,30 +270,12 @@ def test_composed_graph_gradient():
     finite_diff_check(build, [w1, b1, w2])
 
 
-def test_seeded_init_zeros():
-    t = seeded_init("zeros", (2, 2), 0)
-    assert np.array_equal(t.data, [[0.0, 0.0], [0.0, 0.0]])
-    assert t.requires_grad
-
-
-def test_seeded_init_deterministic():
-    a = seeded_init("uniform_glorot", (4, 6), 123)
-    b = seeded_init("uniform_glorot", (4, 6), 123)
-    assert a.data.tobytes() == b.data.tobytes()
-    c = seeded_init("uniform_glorot", (4, 6), 124)
-    assert a.data.tobytes() != c.data.tobytes()
-
-
-def test_seeded_init_glorot_bound():
-    t = seeded_init("uniform_glorot", (100, 100), 7)
+def test_glorot_uniform_bound():
+    t = glorot_uniform((100, 100), np.random.default_rng(7))
     bound = math.sqrt(6.0 / 200.0)
     assert np.all(np.abs(t.data) <= bound)
     assert np.abs(t.data).max() > 0.5 * bound  # actually fills the range
-
-
-def test_seeded_init_unknown_kind():
-    with pytest.raises(ValueError):
-        seeded_init("normal", (2, 2), 0)
+    assert t.requires_grad
 
 
 def test_ops_deterministic():

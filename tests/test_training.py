@@ -150,6 +150,26 @@ def test_clip_gradients():
     assert a.grad[0] == 0.1
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("clip", [5.0, None])
+def test_non_finite_loss_stops_before_the_update(clip):
+    records, _, vocab, model = small_setup()
+    model.params["head.bias"].data[0] = math.inf
+    before = snapshot(model)
+    with pytest.raises(ValidationError, match="epoch 1, batch 1: non-finite"):
+        train(model, records, [], TrainConfig(epochs=2, grad_clip_norm=clip), vocab)
+    for name, data in snapshot(model).items():
+        assert data.tobytes() == before[name].tobytes(), name
+
+
+def test_non_finite_gradient_norm_names_epoch_and_batch(monkeypatch):
+    records, _, vocab, model = small_setup()  # 6 images, batch 4: 2 batches per epoch
+    norms = iter([1.0, 1.0, math.nan])
+    monkeypatch.setattr(training, "clip_gradients", lambda params, max_norm: next(norms))
+    with pytest.raises(ValidationError, match="epoch 2, batch 1: non-finite .* gradient norm nan"):
+        train(model, records, [], TrainConfig(epochs=3), vocab)
+
+
 def test_teacher_forced_loss_counts_steps():
     records, glove, vocab, model = small_setup()
     from objcap.models import example_from_record
