@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
-from .data import RESERVED_TOKENS, GloveTable, ValidationError, Vocabulary, glove_lines
+from .data import RESERVED_TOKENS, GloveTable, ValidationError, Vocabulary, _atomic_writer, glove_lines
 from .models import Model, ModelConfig, build
 
 FORMAT_VERSION = 1
@@ -55,17 +53,9 @@ def save_checkpoint(path, model: Model, vocab: Vocabulary) -> None:
             for name, p in model.params.items()
         },
     }
-    # write a sibling temp file, then rename it over the target: an
-    # interrupted save leaves the previous checkpoint as it was
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _atomic_writer(path) as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
 
 
 def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocabulary]:

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .bleu import corpus_bleu
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     ValidationError,
+    _atomic_writer,
     build_vocab,
     convert_coco,
     load_glove,
@@ -32,38 +34,64 @@ from .models import ModelConfig, build, decode_beam, decode_greedy, encode, exam
 from .training import TrainConfig, evaluate, train
 
 
+@dataclass
+class _DataKeys:
+    """The run config keys that name the data rather than a config field."""
+
+    records: str
+    out_dir: str
+    glove: str | None = None
+    min_count: int = 1
+    split_seed: int = 0
+
+
 def _config_fields():
-    """(config class, run config key, field) for every ModelConfig and
-    TrainConfig field that a run config sets: all but vocab_size, which the
-    vocabulary fixes, with each rng_seed spelled model_seed or train_seed."""
+    """(owner class, run config key, field) for every key of a run config:
+    the data keys, then every ModelConfig and TrainConfig field but
+    vocab_size, which the vocabulary fixes, with each rng_seed spelled
+    model_seed or train_seed."""
+    yield from ((_DataKeys, f.name, f) for f in fields(_DataKeys))
     for cls, seed_key in ((ModelConfig, "model_seed"), (TrainConfig, "train_seed")):
         for f in fields(cls):
             if f.name != "vocab_size":
                 yield cls, seed_key if f.name == "rng_seed" else f.name, f
 
 
-_RUNSPEC_DEFAULTS = {"glove": None, "min_count": 1, "split_seed": 0} | {
-    key: f.default for _, key, f in _config_fields() if f.default is not MISSING
-}
-_RUNSPEC_REQUIRED = {"records", "out_dir"} | {
-    key for _, key, f in _config_fields() if f.default is MISSING
-}
+_RUNSPEC_DEFAULTS = {key: f.default for _, key, f in _config_fields() if f.default is not MISSING}
+_RUNSPEC_REQUIRED = {key for _, key, f in _config_fields() if f.default is MISSING}
 _RUNSPEC_KEYS = _RUNSPEC_REQUIRED | set(_RUNSPEC_DEFAULTS)
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value has a field's annotated type ("int", "float | None",
+    ...): a bool is not a number and a float must be finite."""
+    kinds = {"str": str, "int": int, "float": (int, float), "None": type(None)}
+    allowed = tuple(kinds[name.strip()] for name in annotation.split("|"))
+    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        return False
+    return isinstance(value, allowed)
 
 
 def load_runspec(path) -> dict:
     """Read a training run description; unknown keys are rejected outright
-    so a typo cannot silently fall back to a default."""
+    so a typo cannot silently fall back to a default, and each value must
+    have its field's type. Errors name the file."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"{path}: run config is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
-        raise ValidationError("run config must be a JSON object")
+        raise ValidationError(f"{path}: run config must be a JSON object")
     unknown = sorted(doc.keys() - _RUNSPEC_KEYS)
     if unknown:
-        raise ValidationError(f"unknown run config key(s): {unknown}")
+        raise ValidationError(f"{path}: unknown run config key(s): {unknown}")
     missing = sorted(_RUNSPEC_REQUIRED - doc.keys())
     if missing:
-        raise ValidationError(f"missing run config key(s): {missing}")
+        raise ValidationError(f"{path}: missing run config key(s): {missing}")
+    for _, key, f in _config_fields():
+        if key in doc and not _fits(doc[key], f.type):
+            raise ValidationError(f"{path}: run config key {key!r} must be {f.type}, got {doc[key]!r}")
     spec = dict(_RUNSPEC_DEFAULTS)
     spec.update(doc)
     base = Path(path).resolve().parent
@@ -128,7 +156,8 @@ def _cmd_eval(args) -> int:
     test_set = load_records(args.test)
     report = evaluate(model, test_set, vocab, max_n=args.max_n)
     out = Path(args.out) if args.out else Path(args.checkpoint).parent / "eval_report.json"
-    out.write_text(report.to_json() + "\n", encoding="utf-8")
+    with _atomic_writer(out) as fh:
+        fh.write(report.to_json() + "\n")
     print(report.to_json())
     return 0
 

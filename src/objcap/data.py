@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +32,21 @@ _PUNCT = '.,!?;:"()'
 
 class ValidationError(ValueError):
     """Raised when input data or configuration fails validation."""
+
+
+@contextmanager
+def _atomic_writer(path):
+    """A text file handle on a temp file beside ``path``, renamed over
+    ``path`` when the block ends: an interrupted write leaves ``path`` as it
+    was and removes the temp file."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -177,7 +195,7 @@ def record_to_json(rec: ImageRecord) -> str:
 
 
 def write_records(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_writer(path) as fh:
         for rec in records:
             fh.write(record_to_json(rec) + "\n")
 
@@ -318,7 +336,7 @@ def glove_lines(table: GloveTable):
 
 
 def write_glove(path, table: GloveTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_writer(path) as fh:
         fh.writelines(line + "\n" for line in glove_lines(table))
 
 

@@ -5,11 +5,22 @@ eagerly and, when a Tape is active and some operand requires a gradient,
 records a node holding the local backward rule. ``backward`` replays the
 tape in reverse, accumulating gradients additively across fan-out.
 
+A leaf (a tensor not produced on the tape being replayed, such as a model
+parameter) gets its gradient once, after the replay. The right operand of
+``matmul`` and the table of ``take_row`` receive their gradients as factors:
+a weight used at every step of a sequence collects its ``(a, g)`` pairs and
+gets one ``concat(a).T @ concat(g)`` product, and a table collects its
+``(rows, g)`` pairs and gets one scatter-add into one zeros array. Tensors
+produced on the tape get each factored gradient made dense at once, since
+their own node needs the full sum when it is replayed.
+
 There is deliberately no broadcasting: binary ops demand equal shapes, and
 the single exception (adding a bias row to every row of a matrix) has its
 own op, ``add_rowvector``. Shape mistakes fail loudly at the call site.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,8 +122,8 @@ class Tape:
 def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
     """Wrap an op result, recording it on the active tape when needed.
 
-    ``backward_fn(out_grad)`` must return one gradient array (or None) per
-    input, in order.
+    ``backward_fn(out_grad)`` must return one gradient per input, in order:
+    an array, factors (``_Outer``/``_Rows``) or None.
     """
     tape = Tape.active()
     track = tape is not None and any(t.requires_grad for t in inputs)
@@ -130,24 +141,62 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+class _Outer(NamedTuple):
+    """The gradient ``a.T @ g`` of a matmul's right operand, as its factors."""
+
+    a: np.ndarray
+    g: np.ndarray
+
+    @staticmethod
+    def dense(parts: list["_Outer"], shape) -> np.ndarray:
+        # one GEMM over every use: the row blocks of a and g stacked in order
+        return np.concatenate([p.a for p in parts]).T @ np.concatenate([p.g for p in parts])
+
+
+class _Rows(NamedTuple):
+    """The gradient of a take_row table: row k of ``g`` adds into row ``ids[k]``."""
+
+    ids: list[int]
+    g: np.ndarray
+
+    @staticmethod
+    def dense(parts: list["_Rows"], shape) -> np.ndarray:
+        full = np.zeros(shape, dtype=np.float64)
+        np.add.at(full, [i for p in parts for i in p.ids], np.concatenate([p.g for p in parts]))
+        return full
+
+
 def backward(loss: Tensor, tape: Tape) -> None:
     """Fill ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     Gradients accumulate additively across fan-out, so callers should clear
     stale grads (set to None) before reusing parameters on a fresh tape.
+    A leaf (not produced on ``tape``) gets the factored gradients of its
+    matmul and take_row uses as one dense sum per kind after the replay, in
+    replay order; its other gradients, and every gradient of a tensor
+    produced on ``tape``, are added as their nodes are replayed.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._tape is not tape:
         raise ValueError("loss was not produced on this tape")
     loss.grad = np.ones_like(loss.data)
+    deferred: dict[tuple[int, type], tuple[Tensor, list]] = {}
     for inputs, out, backward_fn in reversed(tape.nodes):
         if out.grad is None:
             continue
         grads = backward_fn(out.grad)
         for inp, g in zip(inputs, grads):
-            if g is not None and inp.requires_grad:
+            if g is None or not inp.requires_grad:
+                continue
+            if not isinstance(g, tuple):
                 _accumulate(inp, g)
+            elif inp._tape is tape:
+                _accumulate(inp, g.dense([g], inp.shape))
+            else:
+                deferred.setdefault((id(inp), type(g)), (inp, []))[1].append(g)
+    for inp, parts in deferred.values():
+        _accumulate(inp, parts[0].dense(parts, inp.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +236,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bw(g: np.ndarray):
-        return g @ b_data.T, a_data.T @ g
+        return g @ b_data.T, _Outer(a_data, g)
 
     return _record((a, b), a_data @ b_data, bw)
 
@@ -325,12 +374,9 @@ def take_row(table: Tensor, index) -> Tensor:
         ids = arr.tolist()
     if not ids or min(ids) < 0 or max(ids) >= table.shape[0]:
         raise ValueError(f"take_row: index {index} out of range for table {table.shape}")
-    shape = table.shape
 
     def bw(g: np.ndarray):
-        full = np.zeros(shape, dtype=np.float64)
-        np.add.at(full, ids, g)
-        return (full,)
+        return (_Rows(ids, g),)
 
     out = table.data[ids[0] : ids[0] + 1].copy() if len(ids) == 1 else table.data[ids]
     return _record((table,), out, bw)

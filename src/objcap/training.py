@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bleu import corpus_bleu, corpus_bleu_parts
-from .data import ImageRecord, ValidationError, Vocabulary, tokenize
+from .data import ImageRecord, ValidationError, Vocabulary, _atomic_writer, tokenize
 from .models import Model, decode_greedy_batch, encode, example_from_record, forward_teacher_forced
 from .tensor import Tape, Tensor, add, backward, concat, cross_entropy, scale
 
@@ -61,7 +61,7 @@ class RunHistory:
     epochs: list[EpochStats]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _atomic_writer(path) as fh:
             fh.write("epoch,train_loss,val_bleu,seconds\n")
             for row in self.epochs:
                 fh.write(f"{row.epoch},{row.train_loss!r},{row.val_bleu!r},{row.seconds!r}\n")

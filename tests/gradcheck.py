@@ -1,7 +1,9 @@
-"""Central finite-difference gradient checker shared by the test modules."""
+"""Gradient checkers shared by the test modules: central finite differences,
+and the per-node accumulation that ``backward``'s deferred leaf gradients
+are compared against."""
 import numpy as np
 
-from objcap.tensor import Tape, backward
+from objcap.tensor import Tape, _Outer, _Rows, backward
 
 
 def finite_diff_check(build_loss, params, step=1e-5, tol=1e-4):
@@ -33,3 +35,32 @@ def finite_diff_check(build_loss, params, step=1e-5, tol=1e-4):
             worst = max(worst, abs(analytic[i] - fd) / denom)
     assert worst < tol, f"gradient mismatch: max relative error {worst:.3g} >= {tol}"
     return worst
+
+
+def reference_backward(loss, tape):
+    """``backward`` with per-node accumulation: every gradient, a matmul
+    weight's ``a.T @ g`` and a take_row table's scatter included, is made
+    dense and added to its input as soon as its node is replayed."""
+    loss.grad = np.ones_like(loss.data)
+    for inputs, out, rule in reversed(tape.nodes):
+        if out.grad is None:
+            continue
+        for inp, g in zip(inputs, rule(out.grad)):
+            if g is None or not inp.requires_grad:
+                continue
+            if isinstance(g, _Outer):
+                g = g.a.T @ g.g
+            elif isinstance(g, _Rows):
+                full = np.zeros(inp.shape)
+                np.add.at(full, g.ids, g.g)
+                g = full
+            if inp.grad is None:
+                inp.grad = g.copy()
+            else:
+                inp.grad += g
+
+
+def assert_close(got, want, rel):
+    """Same shape, and every entry within ``rel`` of the largest entry of ``want``."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objcap import cli
 from objcap.checkpoint import save_checkpoint
@@ -202,6 +208,96 @@ def test_runspec_keys_and_defaults_pinned():
     assert cli._RUNSPEC_REQUIRED == required
     assert cli._RUNSPEC_DEFAULTS == defaults
     assert cli._RUNSPEC_KEYS == required | set(defaults)
+
+
+# The JSON type each run config key takes: (kind, null allowed).
+RUNSPEC_TYPES = {
+    "records": ("str", False), "out_dir": ("str", False), "glove": ("str", True),
+    "min_count": ("int", False), "split_seed": ("int", False), "variant": ("str", False),
+    "visual_dim": ("int", False), "max_caption_len": ("int", False), "reduced_dim": ("int", False),
+    "text_embed_dim": ("int", False), "lang_hidden": ("int", False), "decoder_hidden": ("int", True),
+    "label_embed_dim": ("int", True), "max_objects": ("int", True), "model_seed": ("int", False),
+    "epochs": ("int", False), "learning_rate": ("float", False), "batch_size": ("int", False),
+    "optimizer": ("str", False), "grad_clip_norm": ("float", True), "train_seed": ("int", False),
+}
+
+
+def write_runspec_with(config, key, value):
+    """A complete run config in ``config``'s directory with ``key`` set to ``value``."""
+    spec = write_runspec(config, config.parent / "data", config.parent / "run")
+    spec[key] = value
+    config.write_text(json.dumps(spec))
+
+
+def test_runspec_types_come_from_the_config_fields():
+    declared = {key: f.type for _, key, f in cli._config_fields()}
+    assert declared == {
+        key: kind + (" | None" if nullable else "") for key, (kind, nullable) in RUNSPEC_TYPES.items()
+    }
+
+
+@pytest.mark.parametrize("key, value", [
+    ("visual_dim", "4"), ("epochs", True), ("epochs", 2.0), ("batch_size", None),
+    ("learning_rate", "0.1"), ("learning_rate", False), ("learning_rate", float("nan")),
+    ("grad_clip_norm", [5.0]), ("variant", 3), ("records", 7), ("out_dir", None), ("glove", {}),
+    ("min_count", None),
+])
+def test_runspec_wrong_value_type_exits_1(tmp_path, capsys, key, value):
+    config = tmp_path / "run.json"
+    write_runspec_with(config, key, value)
+    with pytest.raises(ValidationError, match=repr(key)):
+        load_runspec(config)
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(config) in err and repr(key) in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", 0), ("grad_clip_norm", None), ("grad_clip_norm", 1), ("decoder_hidden", None),
+    ("glove", None),
+])
+def test_runspec_accepts_each_allowed_type(tmp_path, key, value):
+    config = tmp_path / "run.json"
+    write_runspec_with(config, key, value)
+    assert load_runspec(config)[key] == value
+
+
+def test_runspec_invalid_json_names_the_file(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"variant": "m3",')
+    assert main(["train", "--config", str(config)]) == 1
+    assert str(config) in capsys.readouterr().err
+
+
+_JSON_VALUES = {
+    "none": st.none(), "bool": st.booleans(), "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=5),
+    "list": st.lists(st.integers(), max_size=2), "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+_ACCEPTS = {"str": {"str"}, "int": {"int"}, "float": {"int", "float"}}
+
+
+@st.composite
+def config_with_one_wrong_value(draw):
+    key = draw(st.sampled_from(sorted(RUNSPEC_TYPES)))
+    kind, nullable = RUNSPEC_TYPES[key]
+    right = _ACCEPTS[kind] | ({"none"} if nullable else set())
+    wrong = draw(st.sampled_from(sorted(_JSON_VALUES.keys() - right)))
+    return key, draw(_JSON_VALUES[wrong])
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_with_one_wrong_value())
+def test_any_wrong_value_type_exits_1_naming_the_key(case):
+    key, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.json"
+        write_runspec_with(config, key, value)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["train", "--config", str(config)]) == 1
+    assert repr(key) in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 def test_train_passes_every_runspec_key_to_its_config(tmp_path, monkeypatch):

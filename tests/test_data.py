@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from objcap import data
 from objcap.data import (
     END,
     PAD,
@@ -501,3 +502,42 @@ def test_convert_coco_too_few_captions(tmp_path):
     fp.write_text(json.dumps({"1": [{"label": "x", "feature": [1.0], "bbox": [0, 0, 1, 1]}]}))
     with pytest.raises(ValidationError):
         convert_coco(cp, fp, op)
+
+
+def interrupt_at_call(monkeypatch, name, k):
+    """Make ``data.<name>`` raise KeyboardInterrupt on its ``k``-th call."""
+    real, calls = getattr(data, name), []
+
+    def flaky(*args):
+        calls.append(1)
+        if len(calls) == k:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(data, name, flaky)
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_interrupted_write_records_leaves_previous_file(tmp_path, monkeypatch, existing):
+    records, _ = synth_corpus(seed=3, n_images=12, n_labels=3, visual_dim=4, glove_dim=2)
+    path = tmp_path / "records.jsonl"
+    if existing:
+        write_records(path, records[:4])
+        before = path.read_bytes()
+    interrupt_at_call(monkeypatch, "record_to_json", 6)
+    with pytest.raises(KeyboardInterrupt):
+        write_records(path, records)
+    assert [p.name for p in tmp_path.iterdir()] == (["records.jsonl"] if existing else [])
+    if existing:
+        assert path.read_bytes() == before
+
+
+def test_interrupted_write_glove_leaves_previous_file(tmp_path, monkeypatch):
+    table = GloveTable(vectors={"dog": np.array([0.5, -1.25]), "cat": np.array([1.0, 0.1])}, dim=2)
+    path = tmp_path / "glove.txt"
+    path.write_text("owl 1.0 2.0\n")
+    interrupt_at_call(monkeypatch, "glove_lines", 1)
+    with pytest.raises(KeyboardInterrupt):
+        write_glove(path, table)
+    assert [p.name for p in tmp_path.iterdir()] == ["glove.txt"]
+    assert path.read_text() == "owl 1.0 2.0\n"

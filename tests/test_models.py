@@ -22,9 +22,9 @@ from objcap.models import (
     _log_softmax_row,
     _scored_greedy,
 )
-from objcap.tensor import Tensor, add, concat, cross_entropy, softmax
+from objcap.tensor import Tape, Tensor, add, backward, concat, cross_entropy, softmax
 from objcap.data import synth_corpus, build_vocab
-from gradcheck import finite_diff_check
+from gradcheck import assert_close, finite_diff_check, reference_backward
 
 
 def tiny_glove(dim=2, seed=0):
@@ -314,6 +314,38 @@ def test_end_to_end_gradients(variant):
     else:
         ex = CaptionExample(caption_ids=ids, visual=rng.uniform(-1, 1, 5))
     finite_diff_check(lambda: teacher_forced_sum_loss(model, ex), list(model.params.values()))
+
+
+@pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+def test_deferred_gradients_match_per_node_reference(variant):
+    # a batch of teacher-forced captions: every weight is read at every step
+    model = tiny_model(variant, seed=5)
+    rng = np.random.default_rng(6)
+    examples = []
+    for length in (6, 3, 5):
+        ids = [START] + [int(i) for i in rng.integers(3, 6, length)] + [END]
+        if variant == "m3":
+            examples.append(CaptionExample(caption_ids=ids, objects=random_objects(rng, 3)))
+        else:
+            examples.append(CaptionExample(caption_ids=ids, visual=rng.uniform(-1, 1, 5)))
+    grads = {}
+    for run in (backward, reference_backward):
+        for p in model.params.values():
+            p.grad = None
+        with Tape() as tape:
+            total = None
+            for ex in examples:
+                loss = teacher_forced_sum_loss(model, ex)
+                total = loss if total is None else add(total, loss)
+        run(total, tape)
+        grads[run] = {name: p.grad.copy() for name, p in model.params.items()}
+    got, want = grads[backward], grads[reference_backward]
+    assert got.keys() == want.keys() == model.params.keys()
+    for name in model.params:
+        if name == "word_embed.table":
+            assert np.array_equal(got[name], want[name])
+        else:
+            assert_close(got[name], want[name], 1e-12)
 
 
 # --- example construction ---

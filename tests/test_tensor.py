@@ -23,7 +23,7 @@ from objcap.tensor import (
     tanh,
     zeros,
 )
-from gradcheck import finite_diff_check
+from gradcheck import assert_close, finite_diff_check, reference_backward
 
 
 def test_tensor_rejects_nonfinite():
@@ -322,3 +322,158 @@ def test_take_row_batched_gradient_adds_repeated_rows():
 def test_take_row_rejects_bad_indices(index):
     with pytest.raises(ValueError):
         take_row(Tensor(np.zeros((4, 2))), index)
+
+
+# --- deferred leaf gradients against the per-node reference ---
+
+
+def leaf(rng, shape):
+    return Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+
+
+def grads_after(run, build, leaves, rounds=1):
+    """The gradients of the watched tensors after ``rounds`` passes of
+    ``run(loss, tape)`` over ``build()``, starting from cleared ``leaves``."""
+    for p in leaves:
+        p.grad = None
+    for _ in range(rounds):
+        loss, tape, watched = build()
+        run(loss, tape)
+    return [w.grad.copy() for w in watched]
+
+
+def check_deferred(build, leaves, rounds=1, exact=()):
+    """``backward`` agrees with the per-node reference: to 1e-12 of the
+    largest entry, and bit for bit on the watched positions in ``exact``."""
+    got = grads_after(backward, build, leaves, rounds)
+    want = grads_after(reference_backward, build, leaves, rounds)
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        if k in exact:
+            assert np.array_equal(g, w)
+        else:
+            assert_close(g, w, 1e-12)
+
+
+def taped(fn):
+    def build():
+        with Tape() as tape:
+            loss, watched = fn()
+        return loss, tape, watched
+
+    return build
+
+
+def test_deferred_weight_over_many_steps():
+    # one weight read at every step of a recurrence, as a decoder does
+    rng = np.random.default_rng(1)
+    w, u = leaf(rng, (3, 4)), leaf(rng, (4, 4))
+    xs = [Tensor(rng.uniform(-1, 1, (1, 3))) for _ in range(7)]
+
+    def fn():
+        h = zeros((1, 4))
+        total = None
+        for x in xs:
+            h = tanh(add(matmul(x, w), matmul(h, u)))
+            ce = cross_entropy(h, 1)
+            total = ce if total is None else add(total, ce)
+        return total, [w, u]
+
+    check_deferred(taped(fn), [w, u])
+
+
+def test_deferred_non_leaf_right_operand():
+    rng = np.random.default_rng(2)
+    w = leaf(rng, (3, 3))
+    xs = [Tensor(rng.uniform(-1, 1, (2, 3))) for _ in range(3)]
+
+    def fn():
+        tw = tanh(w)
+        total = sum_all(matmul(xs[0], tw))
+        for x in xs[1:]:
+            total = add(total, sum_all(mul(matmul(x, tw), matmul(x, tw))))
+        return total, [w]
+
+    check_deferred(taped(fn), [w])
+
+
+def test_deferred_tied_leaf_through_matmul_add_and_take_row():
+    rng = np.random.default_rng(3)
+    table, other = leaf(rng, (4, 4)), leaf(rng, (4, 4))
+    x = Tensor(rng.uniform(-1, 1, (1, 4)))
+
+    def fn():
+        rows = take_row(table, np.array([1, 3, 1]))
+        mixed = matmul(concat([x, rows], axis=0), table)
+        total = add(sum_all(tanh(mixed)), sum_all(mul(add(table, other), other)))
+        return add(total, sum_all(tanh(take_row(table, 2)))), [table, other]
+
+    check_deferred(taped(fn), [table, other])
+
+
+def test_deferred_leaf_used_twice_in_one_step():
+    rng = np.random.default_rng(4)
+    w, table = leaf(rng, (3, 3)), leaf(rng, (5, 3))
+    x1, x2 = Tensor(rng.uniform(-1, 1, (1, 3))), Tensor(rng.uniform(-1, 1, (2, 3)))
+
+    def fn():
+        a = sum_all(tanh(matmul(x1, w)))
+        b = sum_all(sigmoid(matmul(x2, w)))
+        e = add(sum_all(tanh(take_row(table, 4))), sum_all(mul(take_row(table, 4), take_row(table, 0))))
+        return add(add(a, b), e), [w, table]
+
+    check_deferred(taped(fn), [w, table], exact=(1,))
+
+
+def test_deferred_tensor_from_an_outer_tape():
+    # a tensor recorded on an outer tape is a leaf of the inner one
+    rng = np.random.default_rng(5)
+    w = leaf(rng, (3, 3))
+    xs = [Tensor(rng.uniform(-1, 1, (1, 3))) for _ in range(4)]
+
+    def build():
+        with Tape():
+            tw = tanh(w)
+            with Tape() as inner:
+                total = sum_all(tanh(matmul(xs[0], tw)))
+                for x in xs[1:]:
+                    total = add(total, sum_all(tanh(matmul(x, tw))))
+        return total, inner, [tw]
+
+    check_deferred(build, [w])
+    assert w.grad is None  # the outer tape was never replayed
+
+
+def test_deferred_second_backward_adds_onto_existing_grad():
+    rng = np.random.default_rng(6)
+    w, table = leaf(rng, (3, 3)), leaf(rng, (4, 3))
+    xs = [Tensor(rng.uniform(-1, 1, (1, 3))) for _ in range(3)]
+
+    def fn():
+        total = None
+        for k, x in enumerate(xs):
+            ce = cross_entropy(tanh(add(matmul(x, w), take_row(table, k))), k)
+            total = ce if total is None else add(total, ce)
+        return total, [w, table]
+
+    check_deferred(taped(fn), [w, table], rounds=2)
+    once = grads_after(backward, taped(fn), [w, table])
+    twice = grads_after(backward, taped(fn), [w, table], rounds=2)
+    for g1, g2 in zip(once, twice):
+        assert_close(g2, 2 * g1, 1e-12)
+
+
+def test_deferred_take_row_table_is_bit_identical():
+    rng = np.random.default_rng(7)
+    table = leaf(rng, (6, 3))
+    ids = [int(i) for i in rng.integers(0, 6, 20)]
+    weights = [Tensor(rng.uniform(-1, 1, (1, 3))) for _ in ids]
+
+    def fn():
+        total = None
+        for i, wt in zip(ids, weights):
+            term = sum_all(mul(tanh(take_row(table, i)), wt))
+            total = term if total is None else add(total, term)
+        return total, [table]
+
+    check_deferred(taped(fn), [table], exact=(0,))

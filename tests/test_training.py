@@ -11,6 +11,7 @@ from objcap.tensor import Tensor
 from objcap.training import (
     DECODE_BLOCK,
     Adam,
+    EpochStats,
     EvalReport,
     RunHistory,
     Sgd,
@@ -191,6 +192,21 @@ def test_history_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == history.epochs[0].train_loss
+
+
+def test_interrupted_history_csv_leaves_previous_file(tmp_path):
+    class ReprInterrupted(float):
+        def __repr__(self):
+            raise KeyboardInterrupt
+
+    p = tmp_path / "history.csv"
+    RunHistory([EpochStats(1, 0.75, 0.125, 2.0)]).to_csv(p)
+    before = p.read_bytes()
+    history = RunHistory([EpochStats(1, 0.5, 0.25, 1.0), EpochStats(2, ReprInterrupted(0.4), 0.5, 1.0)])
+    with pytest.raises(KeyboardInterrupt):
+        history.to_csv(p)
+    assert [q.name for q in tmp_path.iterdir()] == ["history.csv"]
+    assert p.read_bytes() == before
 
 
 def test_validation_bleu_empty_is_nan():
