@@ -37,7 +37,7 @@ from .layers import (
     lstm_unroll,
     vocab_head,
 )
-from .tensor import Tensor, add, concat, scale, zeros
+from .tensor import Tensor, add, concat, scale, slice_axis, zeros
 
 VARIANTS = ("m1", "m2", "m3")
 
@@ -270,8 +270,10 @@ def forward_teacher_forced(model: Model, example: CaptionExample) -> list[Tensor
     """Per-step vocabulary logits under teacher forcing.
 
     For caption ids [w0..wT] (w0 = <start>, wT = <end>) step t consumes wt
-    and produces the logits for w_{t+1}; returns T logit rows. m2 runs its
-    bidirectional decoder over the whole forced input sequence.
+    and produces the logits for w_{t+1}; returns T logit rows of shape 1*V.
+    m2 runs its bidirectional decoder over the whole forced input sequence.
+    The head runs once per caption, as one product over the T stacked
+    decoder states, and each returned row is a slice of that T*V matrix.
     """
     _check_example(model, example)
     ids = example.caption_ids
@@ -291,7 +293,8 @@ def forward_teacher_forced(model: Model, example: CaptionExample) -> list[Tensor
         dec_states = bilstm(model.decoder_fwd, model.decoder_bwd, xs)
     else:
         dec_states = lstm_unroll(model.decoder, xs)
-    return [vocab_head(model.head, h) for h in dec_states]
+    logits = vocab_head(model.head, concat(dec_states, axis=0))
+    return [slice_axis(logits, 0, t, t + 1) for t in range(steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -405,33 +408,10 @@ def decode_greedy(model: Model, encoding: Tensor, max_len: int | None = None) ->
     return decode_greedy_batch(model, encoding, max_len)[0]
 
 
-def sequence_score(model: Model, encoding: Tensor, tokens: list[int], max_len: int | None = None):
-    """Length-normalized log-probability of emitting ``tokens`` and, when the
-    sequence is shorter than max_len, the terminating <end>.
-
-    The reference scorer: it decodes ``tokens`` again from <start>. Beam
-    search scores its greedy fallback from the greedy pass instead.
-    """
-    if max_len is None:
-        max_len = model.config.max_caption_len
-    state = _init_state(model)
-    prev = START
-    total = 0.0
-    for tok in tokens:
-        logits, state = decode_step(model, encoding, state, prev)
-        total = total + float(_log_softmax_row(logits)[tok])
-        prev = tok
-    emitted = len(tokens)
-    if len(tokens) < max_len:
-        logits, state = decode_step(model, encoding, state, prev)
-        total = total + float(_log_softmax_row(logits)[END])
-        emitted += 1
-    return total / emitted
-
-
 def _scored_greedy(model: Model, encoding: Tensor, max_len: int) -> tuple[float, tuple[int, ...]]:
-    """(sequence_score, emitted sequence) of decode_greedy's output, from the
-    logits of the one greedy pass."""
+    """(score, emitted sequence) of decode_greedy's output, from the logits
+    of the one greedy pass: the summed log-probability of every emitted
+    token, <end> included when it is reached, over the number emitted."""
     emitted: list[int] = []
     total = 0.0
     for _, logits, picked in _greedy_walk(model, encoding, max_len):
@@ -457,8 +437,10 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
     key ``(-score, emitted)``, so the ``width`` kept are exactly those of a
     sort over every candidate.
 
-    The greedy sequence, scored from the logits of its own single pass,
-    competes as a fallback so the returned hypothesis never scores below it.
+    The greedy sequence competes as a fallback, so the returned hypothesis
+    never scores below it. It is scored like any finished hypothesis, the
+    length-normalized log-probability with <end> counted when reached, from
+    the logits of its own single pass (``_scored_greedy``).
     """
     if width < 1:
         raise ValidationError(f"beam width must be >= 1, got {width}")

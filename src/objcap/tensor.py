@@ -134,9 +134,12 @@ def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Te
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. A ``fresh`` array, built for this call and
+    held by nothing else, becomes the first gradient as it is; any other is
+    copied, since a rule may return one array twice (``add``'s ``g, g``)."""
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if fresh else g.copy()
     else:
         t.grad += g
 
@@ -192,11 +195,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
             if not isinstance(g, tuple):
                 _accumulate(inp, g)
             elif inp._tape is tape:
-                _accumulate(inp, g.dense([g], inp.shape))
+                _accumulate(inp, g.dense([g], inp.shape), fresh=True)
             else:
                 deferred.setdefault((id(inp), type(g)), (inp, []))[1].append(g)
     for inp, parts in deferred.values():
-        _accumulate(inp, parts[0].dense(parts, inp.shape))
+        _accumulate(inp, parts[0].dense(parts, inp.shape), fresh=True)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,8 @@ def add_rowvector(x: Tensor, b: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     # Split by sign so exp never overflows.
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bw(g: np.ndarray):
         return (g * s * (1.0 - s),)

@@ -25,6 +25,10 @@ OPTIMIZERS = ("sgd", "adam")
 # memory of a walk does not grow with the test set.
 DECODE_BLOCK = 64
 
+# Adam updates this many float64 entries of a parameter at a time, so its
+# two scratch blocks (128 KiB each) stay in cache.
+_ADAM_BLOCK = 16384
+
 
 @dataclass
 class TrainConfig:
@@ -38,14 +42,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError(f"epochs must be positive, got {self.epochs}")
-        if self.learning_rate < 0:
-            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ValidationError(f"grad_clip_norm must be positive or None, got {self.grad_clip_norm}")
+        clip = self.grad_clip_norm
+        if clip is not None and not (math.isfinite(clip) and clip > 0):
+            raise ValidationError(f"grad_clip_norm must be finite and positive, or None, got {clip}")
 
 
 @dataclass
@@ -79,29 +84,43 @@ class Sgd:
 
 
 class Adam:
+    """Adam with bias correction. ``m``, ``v`` and the weights are updated in
+    place, block by block, through two preallocated scratch blocks: the
+    textbook formula's ufuncs in its order, so the result is bit-identical."""
+
     def __init__(self, params: dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.m = {name: np.zeros(p.shape) for name, p in params.items()}
+        self.v = {name: np.zeros(p.shape) for name, p in params.items()}
         self.t = 0
+        self._scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
 
     def step(self) -> None:
         self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            # reshape gives views: m, v and a tensor's data are C-contiguous
+            m, v, w = self.m[name].reshape(-1), self.v[name].reshape(-1), p.data.reshape(-1)
+            g = p.grad.reshape(-1)
+            # per block: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+            # w -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
+            for lo in range(0, w.size, _ADAM_BLOCK):
+                hi = min(lo + _ADAM_BLOCK, w.size)
+                mb, vb, gb = m[lo:hi], v[lo:hi], g[lo:hi]
+                s1, s2 = (s[: hi - lo] for s in self._scratch)
+                mb *= b1
+                mb += np.multiply(1.0 - b1, gb, out=s1)
+                vb *= b2
+                vb += np.multiply(np.multiply(1.0 - b2, gb, out=s1), gb, out=s1)
+                np.multiply(lr, np.divide(mb, bias1, out=s1), out=s1)
+                np.add(np.sqrt(np.divide(vb, bias2, out=s2), out=s2), eps, out=s2)
+                w[lo:hi] -= np.divide(s1, s2, out=s1)
 
 
 def make_optimizer(params: dict[str, Tensor], config: TrainConfig):
@@ -115,7 +134,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     total = 0.0
     grads = [p.grad for p in params.values() if p.grad is not None]
     for g in grads:
-        total += float((g * g).sum())
+        total += float(np.vdot(g, g))
     norm = math.sqrt(total)
     if norm > max_norm:
         factor = max_norm / norm

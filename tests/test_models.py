@@ -17,11 +17,11 @@ from objcap.models import (
     example_from_record,
     forward_teacher_forced,
     fuse_objects,
-    sequence_score,
     _init_state,
     _log_softmax_row,
     _scored_greedy,
 )
+from objcap.layers import bilstm, embed, lstm_unroll, vocab_head
 from objcap.tensor import Tape, Tensor, add, backward, concat, cross_entropy, softmax
 from objcap.data import synth_corpus, build_vocab
 from gradcheck import assert_close, finite_diff_check, reference_backward
@@ -348,6 +348,57 @@ def test_deferred_gradients_match_per_node_reference(variant):
             assert_close(got[name], want[name], 1e-12)
 
 
+def reference_decoder_states(model, example):
+    """The decoder state rows of a teacher-forced caption, built layer by
+    layer as forward_teacher_forced builds them."""
+    enc = encode(model, example)
+    ids = example.caption_ids
+    lang = lstm_unroll(model.lang_lstm, [embed(model.word_embed, ids[t]) for t in range(len(ids) - 1)])
+    xs = [concat([enc, h], axis=1) for h in lang]
+    if model.config.variant == "m2":
+        return bilstm(model.decoder_fwd, model.decoder_bwd, xs)
+    return lstm_unroll(model.decoder, xs)
+
+
+def forward_examples(variant, rng):
+    for length in (0, 1, 6):  # captions of 1, 2 and 7 steps
+        ids = [START] + [int(i) for i in rng.integers(3, 6, length)] + [END]
+        if variant == "m3":
+            yield CaptionExample(caption_ids=ids, objects=random_objects(rng, 3))
+        else:
+            yield CaptionExample(caption_ids=ids, visual=rng.uniform(-1, 1, 5))
+
+
+@pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+def test_stacked_head_rows_match_per_row_head(variant):
+    # the head runs once over the caption's stacked decoder states; each row
+    # must equal the head applied to that step's state alone
+    model = tiny_model(variant, seed=7)
+    for ex in forward_examples(variant, np.random.default_rng(8)):
+        rows = forward_teacher_forced(model, ex)
+        states = reference_decoder_states(model, ex)
+        assert len(rows) == len(states) == len(ex.caption_ids) - 1
+        for row, h in zip(rows, states):
+            assert row.shape == (1, model.config.vocab_size)
+            assert_close(row.data, vocab_head(model.head, h).data, 1e-12)
+
+
+@pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+def test_one_head_product_per_caption(variant):
+    # graph guard: a one-example tape holds exactly one matmul that reads
+    # the head weight, however many steps the caption has
+    model = tiny_model(variant, seed=9)
+    for ex in forward_examples(variant, np.random.default_rng(10)):
+        with Tape() as tape:
+            teacher_forced_sum_loss(model, ex)
+        head_products = [
+            inputs for inputs, _, rule in tape.nodes
+            if rule.__qualname__.split(".")[0] == "matmul" and inputs[1] is model.head.weight
+        ]
+        assert len(head_products) == 1
+        assert head_products[0][0].shape == (len(ex.caption_ids) - 1, model.head.in_dim)
+
+
 # --- example construction ---
 
 
@@ -513,6 +564,27 @@ def test_beam_never_below_greedy_score():
             assert sequence_score(model, enc, beamed) >= sequence_score(
                 model, enc, decode_greedy(model, enc)
             ) - 1e-15
+
+
+def sequence_score(model, encoding, tokens, max_len=None):
+    """Length-normalized log-probability of emitting ``tokens`` and, when the
+    sequence is shorter than max_len, the terminating <end>: the reference
+    scorer, decoding ``tokens`` again from <start> one decode_step at a time."""
+    if max_len is None:
+        max_len = model.config.max_caption_len
+    state = _init_state(model)
+    prev = START
+    total = 0.0
+    for tok in tokens:
+        logits, state = decode_step(model, encoding, state, prev)
+        total = total + float(_log_softmax_row(logits)[tok])
+        prev = tok
+    emitted = len(tokens)
+    if len(tokens) < max_len:
+        logits, state = decode_step(model, encoding, state, prev)
+        total = total + float(_log_softmax_row(logits)[END])
+        emitted += 1
+    return total / emitted
 
 
 def reference_beam(model, encoding, width, max_len=None):

@@ -100,6 +100,14 @@ def test_elementwise_values():
     assert np.array_equal(out.data, [8.0, 15.0])
 
 
+def test_sigmoid_matches_split_form_bitwise():
+    # the split-by-sign form with exp(-|d|) evaluated once per branch
+    rng = np.random.default_rng(2)
+    d = np.concatenate([rng.normal(0, 10, 100_000), [800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300]])
+    want = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    assert np.array_equal(sigmoid(Tensor(d)).data, want)
+
+
 def test_elementwise_shape_errors():
     with pytest.raises(ValueError):
         add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
@@ -211,6 +219,18 @@ def test_backward_accumulates_across_fanout():
         loss = sum_all(add(x, x))
     backward(loss, tape)
     assert np.array_equal(x.grad, [2.0])
+
+
+def test_backward_copies_a_gradient_returned_twice():
+    # add's rule returns one array for both inputs; each input must get its
+    # own copy, or x's second contribution would also land in w's gradient
+    x = Tensor([1.0], requires_grad=True)
+    w = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(add(add(x, w), x))
+    backward(loss, tape)
+    assert np.array_equal(x.grad, [2.0])
+    assert np.array_equal(w.grad, [1.0])
 
 
 def test_no_tape_means_no_recording():

@@ -62,6 +62,20 @@ def test_train_config_validation():
         TrainConfig(epochs=1, grad_clip_norm=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_learning_rate_rejected(value):
+    # a NaN step would turn every weight to NaN before the loss guard fires
+    with pytest.raises(ValidationError, match="learning_rate"):
+        TrainConfig(epochs=1, learning_rate=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_grad_clip_norm_rejected(value):
+    # a NaN clip norm never clips: norm > nan is always false
+    with pytest.raises(ValidationError, match="grad_clip_norm"):
+        TrainConfig(epochs=1, grad_clip_norm=value)
+
+
 def test_zero_learning_rate_is_a_null_update():
     records, glove, vocab, model = small_setup()
     before = snapshot(model)
@@ -134,6 +148,57 @@ def test_adam_first_step_magnitude():
     opt = Adam({"p": p}, lr=0.01)
     opt.step()
     assert math.isclose(p.data[0], -0.01, rel_tol=1e-6)
+
+
+def textbook_adam(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam over whole arrays, one temporary per operation: the reference
+    the blocked in-place ``Adam.step`` must reproduce bit for bit."""
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t, step_grads in enumerate(grads, start=1):
+        bias1 = 1.0 - beta1**t
+        bias2 = 1.0 - beta2**t
+        for k, g in step_grads.items():
+            m[k] *= beta1
+            m[k] += (1.0 - beta1) * g
+            v[k] *= beta2
+            v[k] += (1.0 - beta2) * g * g
+            params[k] -= lr * (m[k] / bias1) / (np.sqrt(v[k] / bias2) + eps)
+    return params, m, v
+
+
+def test_blocked_adam_matches_textbook_formula_bitwise():
+    block = training._ADAM_BLOCK
+    shapes = {
+        "one": (1,),
+        "under": (block - 1,),
+        "exact": (block,),
+        "over": (block + 1,),
+        "two_and_tail": (2 * block + 3,),
+        "matrix": (37, 901),  # 2-D, 33337 entries: two full blocks and a tail
+    }
+    rng = np.random.default_rng(0)
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    # gradients of mixed scale, with exact zeros, over five steps
+    def gradient(shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape) * (rng.random(shape) > 0.05)
+
+    grads = [{k: gradient(s) for k, s in shapes.items()} for _ in range(5)]
+    params = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+    idle = Tensor(rng.normal(size=(3, 4)), requires_grad=True)  # never gets a gradient
+    idle_before = idle.data.copy()
+    opt = Adam({**params, "idle": idle}, lr=3e-3)
+    for step_grads in grads:
+        for k, g in step_grads.items():
+            params[k].grad = g
+        opt.step()
+    want, want_m, want_v = textbook_adam({k: a.copy() for k, a in init.items()}, grads, lr=3e-3)
+    for k in shapes:
+        assert np.array_equal(params[k].data, want[k]), k
+        assert np.array_equal(opt.m[k], want_m[k]), k
+        assert np.array_equal(opt.v[k], want_v[k]), k
+    assert np.array_equal(idle.data, idle_before)
+    assert not opt.m["idle"].any() and not opt.v["idle"].any()
 
 
 def test_clip_gradients():
