@@ -5,14 +5,29 @@ eagerly and, when a Tape is active and some operand requires a gradient,
 records a node holding the local backward rule. ``backward`` replays the
 tape in reverse, accumulating gradients additively across fan-out.
 
+A rule returns, per input, an array, a factor or None. A fresh array (built
+by the rule, neither the output's gradient nor a view) becomes an input's
+first gradient as it is; a pass-through or view gradient (``add``'s
+``g, g``, ``concat``'s pieces) is copied first, so no two tensors share a
+gradient array. ``slice_axis`` returns its gradient as a factor ``(idx, g)``
+that is added into the rows it came from, so the T row slices of a
+``(T, V)`` matrix cost T·V, not T²·V.
+
 A leaf (a tensor not produced on the tape being replayed, such as a model
 parameter) gets its gradient once, after the replay. The right operand of
-``matmul`` and the table of ``take_row`` receive their gradients as factors:
-a weight used at every step of a sequence collects its ``(a, g)`` pairs and
-gets one ``concat(a).T @ concat(g)`` product, and a table collects its
-``(rows, g)`` pairs and gets one scatter-add into one zeros array. Tensors
-produced on the tape get each factored gradient made dense at once, since
-their own node needs the full sum when it is replayed.
+``matmul``, the table of ``take_row`` and the input of ``slice_axis``
+receive their gradients as factors: a weight used at every step of a
+sequence collects its ``(a, g)`` pairs and gets one
+``concat(a).T @ concat(g)`` product, a table collects its ``(rows, g)``
+pairs and gets one scatter-add into one zeros array, and a sliced leaf gets
+its pieces added into one zeros array. Tensors produced on the tape get each
+factored gradient at once, since their own node needs the full sum when it
+is replayed.
+
+Every recorded output holds its tape and the tape holds every output, so a
+replayed tape is a reference cycle: a caller that is done with it clears
+``tape.nodes`` (``training.train`` does, after each batch) to free the graph
+at once rather than at the collector's next full pass.
 
 There is deliberately no broadcasting: binary ops demand equal shapes, and
 the single exception (adding a bias row to every row of a matrix) has its
@@ -111,10 +126,6 @@ class Tape:
         popped = Tape._stack.pop()
         assert popped is self
 
-    @classmethod
-    def active(cls) -> "Tape | None":
-        return cls._stack[-1] if cls._stack else None
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -123,21 +134,30 @@ def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Te
     """Wrap an op result, recording it on the active tape when needed.
 
     ``backward_fn(out_grad)`` must return one gradient per input, in order:
-    an array, factors (``_Outer``/``_Rows``) or None.
+    an array, a factor (``_Outer``/``_Rows``/``_Slice``) or None.
     """
-    tape = Tape.active()
-    track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor._wrap(out_data, track)
-    if track:
-        out._tape = tape
-        tape.nodes.append((inputs, out, backward_fn))
+    # built in place: this runs once per op, so it skips Tensor.__init__'s checks
+    out = Tensor.__new__(Tensor)
+    out.data = out_data
+    out.grad = None
+    out.requires_grad = False
+    out._tape = None
+    if Tape._stack:
+        for t in inputs:
+            if t.requires_grad:
+                tape = Tape._stack[-1]
+                out.requires_grad = True
+                out._tape = tape
+                tape.nodes.append((inputs, out, backward_fn))
+                break
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool) -> None:
     """Add ``g`` into ``t.grad``. A ``fresh`` array, built for this call and
     held by nothing else, becomes the first gradient as it is; any other is
-    copied, since a rule may return one array twice (``add``'s ``g, g``)."""
+    copied, since a rule may return one array twice (``add``'s ``g, g``) or
+    a view of another gradient (``concat``'s pieces)."""
     if t.grad is None:
         t.grad = g if fresh else g.copy()
     else:
@@ -169,37 +189,54 @@ class _Rows(NamedTuple):
         return full
 
 
+class _Slice(NamedTuple):
+    """The gradient of a slice_axis input: ``g`` adds into the positions ``idx``."""
+
+    idx: tuple
+    g: np.ndarray
+
+    @staticmethod
+    def dense(parts: list["_Slice"], shape) -> np.ndarray:
+        full = np.zeros(shape, dtype=np.float64)
+        for p in parts:
+            full[p.idx] += p.g
+        return full
+
+
 def backward(loss: Tensor, tape: Tape) -> None:
     """Fill ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     Gradients accumulate additively across fan-out, so callers should clear
     stale grads (set to None) before reusing parameters on a fresh tape.
     A leaf (not produced on ``tape``) gets the factored gradients of its
-    matmul and take_row uses as one dense sum per kind after the replay, in
-    replay order; its other gradients, and every gradient of a tensor
-    produced on ``tape``, are added as their nodes are replayed.
+    matmul, take_row and slice_axis uses as one dense sum per kind after the
+    replay, in replay order; its other gradients, and every gradient of a
+    tensor produced on ``tape``, are added as their nodes are replayed.
     """
-    if loss.size != 1:
+    if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._tape is not tape:
         raise ValueError("loss was not produced on this tape")
     loss.grad = np.ones_like(loss.data)
     deferred: dict[tuple[int, type], tuple[Tensor, list]] = {}
     for inputs, out, backward_fn in reversed(tape.nodes):
-        if out.grad is None:
+        out_grad = out.grad
+        if out_grad is None:
             continue
-        grads = backward_fn(out.grad)
+        grads = backward_fn(out_grad)
         for inp, g in zip(inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
             if not isinstance(g, tuple):
-                _accumulate(inp, g)
-            elif inp._tape is tape:
-                _accumulate(inp, g.dense([g], inp.shape), fresh=True)
-            else:
+                _accumulate(inp, g, fresh=g is not out_grad and g.base is None)
+            elif inp._tape is not tape:
                 deferred.setdefault((id(inp), type(g)), (inp, []))[1].append(g)
+            elif type(g) is _Slice and inp.grad is not None:
+                inp.grad[g.idx] += g.g
+            else:
+                _accumulate(inp, g.dense([g], inp.data.shape), fresh=True)
     for inp, parts in deferred.values():
-        _accumulate(inp, parts[0].dense(parts, inp.shape), fresh=True)
+        _accumulate(inp, parts[0].dense(parts, inp.data.shape), fresh=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +264,21 @@ def glorot_uniform(shape, rng: np.random.Generator, requires_grad: bool = True) 
 
 
 def _check_same_shape(opname: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dimensions disagree, {a.shape} vs {b.shape}")
     a_data, b_data = a.data, b.data
 
     def bw(g: np.ndarray):
-        return g @ b_data.T, _Outer(a_data, g)
+        # a left operand without a gradient (a constant feature row, a zero
+        # initial state) is skipped by backward: do not compute one for it
+        return (g @ b_data.T if a.requires_grad else None), _Outer(a_data, g)
 
     return _record((a, b), a_data @ b_data, bw)
 
@@ -265,7 +304,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def add_rowvector(x: Tensor, b: Tensor) -> Tensor:
     """Add a length-n bias vector to every row of an m*n matrix."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
+    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"add_rowvector: need (m,n) and (n,), got {x.shape} and {b.shape}")
 
     def bw(g: np.ndarray):
@@ -275,10 +314,13 @@ def add_rowvector(x: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign so exp never overflows.
+    # Split by sign so exp never overflows: with e = exp(-|d|), 1/(1+e) for
+    # d >= 0 (where e <= 1, so max(e, 1) = 1) and e/(1+e) below.
     d = x.data
-    e = np.exp(-np.abs(d))
-    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(d, out=np.empty_like(d))  # an array even for a 0-d d
+    np.exp(np.negative(e, out=e), out=e)
+    s = np.maximum(e, d >= 0)
+    s /= 1.0 + e
 
     def bw(g: np.ndarray):
         return (g * s * (1.0 - s),)
@@ -305,7 +347,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    shape = x.shape
+    shape = x.data.shape
 
     def bw(g: np.ndarray):
         return (np.full(shape, float(g), dtype=np.float64),)
@@ -317,16 +359,17 @@ def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of an empty tensor list")
-    first = tensors[0].shape
+    first = tensors[0].data.shape
     for t in tensors[1:]:
-        if len(t.shape) != len(first) or any(
-            i != axis and t.shape[i] != first[i] for i in range(len(first))
+        shape = t.data.shape
+        if len(shape) != len(first) or any(
+            i != axis and shape[i] != first[i] for i in range(len(first))
         ):
             raise ValueError(
                 f"concat: shapes incompatible along axis {axis}: "
                 f"{[t.shape for t in tensors]}"
             )
-    extents = [t.shape[axis] for t in tensors]
+    extents = [t.data.shape[axis] for t in tensors]
 
     def bw(g: np.ndarray):
         pieces = []
@@ -343,21 +386,18 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice along one axis; backward scatters into zeros."""
+    """Contiguous slice along one axis; backward adds into the sliced positions."""
     ndim = x.data.ndim
     if not (0 <= axis < ndim):
         raise ValueError(f"slice_axis: axis {axis} out of range for shape {x.shape}")
-    if not (0 <= start <= stop <= x.shape[axis]):
+    if not (0 <= start <= stop <= x.data.shape[axis]):
         raise ValueError(f"slice_axis: bad range [{start}:{stop}] for shape {x.shape}")
-    shape = x.shape
     idx = [slice(None)] * ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
 
     def bw(g: np.ndarray):
-        full = np.zeros(shape, dtype=np.float64)
-        full[idx] = g
-        return (full,)
+        return (_Slice(idx, g),)
 
     return _record((x,), x.data[idx].copy(), bw)
 
@@ -376,7 +416,7 @@ def take_row(table: Tensor, index) -> Tensor:
         if arr.ndim != 1 or arr.dtype.kind not in "iu":
             raise ValueError(f"take_row: need an int or a 1-D integer array, got {index!r}")
         ids = arr.tolist()
-    if not ids or min(ids) < 0 or max(ids) >= table.shape[0]:
+    if not ids or min(ids) < 0 or max(ids) >= table.data.shape[0]:
         raise ValueError(f"take_row: index {index} out of range for table {table.shape}")
 
     def bw(g: np.ndarray):
@@ -389,7 +429,7 @@ def take_row(table: Tensor, index) -> Tensor:
 def _as_vector(x: Tensor, opname: str) -> np.ndarray:
     if x.data.ndim == 1:
         return x.data
-    if x.data.ndim == 2 and x.shape[0] == 1:
+    if x.data.ndim == 2 and x.data.shape[0] == 1:
         return x.data[0]
     raise ValueError(f"{opname} requires a vector or single row, got shape {x.shape}")
 
@@ -417,7 +457,7 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
     m = v.max()
     lse = m + np.log(np.exp(v - m).sum())
     loss = np.asarray(lse - v[target])
-    shape = logits.shape
+    shape = logits.data.shape
 
     def bw(g: np.ndarray):
         p = np.exp(v - lse)

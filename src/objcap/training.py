@@ -214,6 +214,9 @@ def train(
                     batch_tokens += steps_i
                 batch_loss = scale(batch_sum, 1.0 / batch_tokens)
             backward(batch_loss, tape)
+            # every output holds the tape, which holds every output: drop the
+            # nodes so the batch's graph is freed now, not at a later gc pass
+            tape.nodes.clear()
             norm = clip_gradients(model.params, config.grad_clip_norm or math.inf)
             nats = batch_sum.item()
             if not (math.isfinite(nats) and math.isfinite(norm)):

@@ -3,7 +3,7 @@ and the per-node accumulation that ``backward``'s deferred leaf gradients
 are compared against."""
 import numpy as np
 
-from objcap.tensor import Tape, _Outer, _Rows, backward
+from objcap.tensor import Tape, _Outer, _Rows, _Slice, backward
 
 
 def finite_diff_check(build_loss, params, step=1e-5, tol=1e-4):
@@ -39,8 +39,9 @@ def finite_diff_check(build_loss, params, step=1e-5, tol=1e-4):
 
 def reference_backward(loss, tape):
     """``backward`` with per-node accumulation: every gradient, a matmul
-    weight's ``a.T @ g`` and a take_row table's scatter included, is made
-    dense and added to its input as soon as its node is replayed."""
+    weight's ``a.T @ g``, a take_row table's scatter and a slice's scatter
+    included, is made dense and added to its input as soon as its node is
+    replayed. A gradient of a kind it does not know raises TypeError."""
     loss.grad = np.ones_like(loss.data)
     for inputs, out, rule in reversed(tape.nodes):
         if out.grad is None:
@@ -54,6 +55,12 @@ def reference_backward(loss, tape):
                 full = np.zeros(inp.shape)
                 np.add.at(full, g.ids, g.g)
                 g = full
+            elif isinstance(g, _Slice):
+                full = np.zeros(inp.shape)
+                full[g.idx] += g.g
+                g = full
+            elif type(g) is not np.ndarray:
+                raise TypeError(f"reference_backward: unknown gradient kind {type(g).__name__}")
             if inp.grad is None:
                 inp.grad = g.copy()
             else:

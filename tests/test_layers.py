@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,22 @@ from objcap.layers import (
     lstm_unroll,
     vocab_head,
 )
-from objcap.tensor import Tape, Tensor, backward, cross_entropy, softmax, sum_all, zeros
+from objcap.tensor import (
+    Tape,
+    Tensor,
+    add,
+    add_rowvector,
+    backward,
+    cross_entropy,
+    matmul,
+    mul,
+    sigmoid,
+    slice_axis,
+    softmax,
+    sum_all,
+    tanh,
+    zeros,
+)
 from gradcheck import finite_diff_check
 
 
@@ -145,6 +161,52 @@ def test_lstm_step_gradients():
         return cross_entropy(h, 0)
 
     finite_diff_check(build, [p.W, p.U, p.b])
+
+
+def per_gate_lstm_step(p, x, h, c):
+    """The LSTM step with one sigmoid per gate slice: the reference for
+    lstm_step's single sigmoid over the whole preactivation."""
+    n = p.hidden_size
+    z = add_rowvector(add(matmul(x, p.W), matmul(h, p.U)), p.b)
+    i = sigmoid(slice_axis(z, 1, 0, n))
+    f = sigmoid(slice_axis(z, 1, n, 2 * n))
+    g = tanh(slice_axis(z, 1, 2 * n, 3 * n))
+    o = sigmoid(slice_axis(z, 1, 3 * n, 4 * n))
+    c2 = add(mul(f, c), mul(i, g))
+    return mul(o, tanh(c2)), c2
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("hidden", [7, 32])
+def test_lstm_step_matches_per_gate_reference_bitwise(rows, hidden):
+    p = lstm_init(5, hidden, rng(70))
+    r = rng(71)
+    x, h, c = (Tensor(r.uniform(-2, 2, (rows, d)), requires_grad=True) for d in (5, hidden, hidden))
+    wh, wc = (Tensor(r.uniform(-1, 1, (rows, hidden))) for _ in range(2))
+    leaves = [p.W, p.U, p.b, x, h, c]
+    results = []
+    for step in (lstm_step, per_gate_lstm_step):
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            h2, c2 = step(p, x, h, c)
+            loss = add(sum_all(mul(h2, wh)), sum_all(mul(c2, wc)))
+        backward(loss, tape)
+        results.append([h2.data, c2.data] + [t.grad.copy() for t in leaves])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def test_lstm_step_graph_shape():
+    # graph guard: a change to the nodes one step records must be deliberate
+    p = lstm_init(5, 4, rng(72))
+    with Tape() as tape:
+        lstm_step(p, rand_row(5, 73), zeros((1, 4)), zeros((1, 4)))
+    ops = Counter(rule.__qualname__.split(".")[0] for _, _, rule in tape.nodes)
+    assert ops == {
+        "matmul": 2, "add": 2, "add_rowvector": 1, "sigmoid": 1, "tanh": 2, "slice_axis": 4, "mul": 3,
+    }
+    assert len(tape) == 15
 
 
 def test_unroll_single_step_equivalence():

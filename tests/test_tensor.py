@@ -497,3 +497,103 @@ def test_deferred_take_row_table_is_bit_identical():
         return total, [table]
 
     check_deferred(taped(fn), [table], exact=(0,))
+
+
+# --- replay: adopted and copied gradients, slice factors ---
+
+
+def replay_leaves():
+    rng = np.random.default_rng(8)
+    return leaf(rng, (2, 3)), leaf(rng, (2, 3)), leaf(rng, (3,)), leaf(rng, (3, 1))
+
+
+def graph_add_self(x, w, b, v):
+    t = tanh(x)
+    return add(sum_all(mul(tanh(add(t, t)), w)), sum_all(mul(add(x, x), w)))
+
+
+def graph_mul_self(x, w, b, v):
+    t = tanh(x)
+    return add(sum_all(mul(mul(t, t), w)), sum_all(mul(x, x)))
+
+
+def graph_concat_self(x, w, b, v):
+    t = tanh(x)
+    both = concat([t, t], axis=0)
+    return add(sum_all(matmul(tanh(both), v)), sum_all(matmul(concat([x, x], axis=0), v)))
+
+
+def graph_add_rowvector(x, w, b, v):
+    t = tanh(x)
+    return sum_all(mul(tanh(add_rowvector(t, b)), w))
+
+
+def graph_fan_out(x, w, b, v):
+    t = tanh(x)
+    c = add(mul(t, w), sigmoid(t))
+    return add(sum_all(mul(c, t)), add(sum_all(scale(t, 2.0)), sum_all(matmul(t, v))))
+
+
+def graph_overlapping_slices(x, w, b, v):
+    t = tanh(mul(x, w))
+    cols = mul(slice_axis(t, 1, 0, 2), slice_axis(t, 1, 1, 3))
+    rows = mul(slice_axis(t, 0, 0, 1), slice_axis(t, 0, 1, 2))
+    return add(sum_all(tanh(cols)), add(sum_all(rows), sum_all(mul(t, w))))
+
+
+def graph_leaf_slices(x, w, b, v):
+    # w is a leaf: its slices take the deferred path, its mul the direct one
+    left, right = slice_axis(w, 1, 0, 2), slice_axis(w, 1, 1, 3)
+    top = slice_axis(w, 0, 1, 2)
+    total = add(sum_all(mul(left, right)), sum_all(mul(top, tanh(top))))
+    return add(total, sum_all(mul(tanh(x), w)))
+
+
+REPLAY_GRAPHS = [
+    graph_add_self, graph_mul_self, graph_concat_self, graph_add_rowvector,
+    graph_fan_out, graph_overlapping_slices, graph_leaf_slices,
+]
+
+
+@pytest.mark.parametrize("graph", REPLAY_GRAPHS, ids=lambda g: g.__name__)
+def test_replay_matches_per_node_reference(graph):
+    leaves = replay_leaves()
+
+    def build():
+        with Tape() as tape:
+            loss = graph(*leaves)
+        used = {id(t) for inputs, _, _ in tape.nodes for t in inputs}
+        return loss, tape, [p for p in leaves if id(p) in used]
+
+    check_deferred(build, leaves)
+
+
+@pytest.mark.parametrize("graph", REPLAY_GRAPHS, ids=lambda g: g.__name__)
+def test_replay_matches_finite_differences(graph):
+    leaves = replay_leaves()
+    finite_diff_check(lambda: graph(*leaves), leaves, tol=1e-5)
+
+
+@pytest.mark.parametrize("graph", REPLAY_GRAPHS, ids=lambda g: g.__name__)
+def test_replay_gives_every_tensor_its_own_gradient_array(graph):
+    leaves = replay_leaves()
+    with Tape() as tape:
+        loss = graph(*leaves)
+    backward(loss, tape)
+    tensors = {id(t): t for inputs, out, _ in tape.nodes for t in (*inputs, out)}
+    grads = [t.grad for t in tensors.values() if t.grad is not None]
+    assert len(grads) > len(leaves)
+    for k, a in enumerate(grads):
+        for b in grads[k + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+def test_matmul_gives_no_gradient_to_a_constant_left_operand():
+    rng = np.random.default_rng(9)
+    const, w = Tensor(rng.uniform(-1, 1, (1, 3))), leaf(rng, (3, 2))
+    with Tape() as tape:
+        matmul(const, w)
+    (_, _, rule), = tape.nodes
+    left, right = rule(np.ones((1, 2)))
+    assert left is None
+    assert np.array_equal(right.a.T @ right.g, const.data.T @ np.ones((1, 2)))

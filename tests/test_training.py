@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +236,30 @@ def test_non_finite_gradient_norm_names_epoch_and_batch(monkeypatch):
     monkeypatch.setattr(training, "clip_gradients", lambda params, max_norm: next(norms))
     with pytest.raises(ValidationError, match="epoch 2, batch 1: non-finite .* gradient norm nan"):
         train(model, records, [], TrainConfig(epochs=3), vocab)
+
+
+def test_train_releases_each_batch_tape(monkeypatch):
+    # with the collector off, a tape still referenced from its own outputs
+    # would outlive train: each must be freed by reference counting
+    records, _, vocab, model = small_setup()
+    tapes = []
+    real_backward = training.backward
+
+    def keep_backward(loss, tape):
+        tapes.append(weakref.ref(tape))
+        real_backward(loss, tape)
+
+    monkeypatch.setattr(training, "backward", keep_backward)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train(model, records, [], TrainConfig(epochs=1), vocab)
+        alive = [ref() is not None for ref in tapes]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(alive) == 2  # 6 images in batches of 4
+    assert not any(alive)
 
 
 def test_teacher_forced_loss_counts_steps():
