@@ -1,24 +1,28 @@
 """Checkpoint persistence.
 
 A checkpoint is one JSON document: format version, model config, vocabulary,
-and every named parameter as a decimal array. Floats serialize through
-Python's shortest round-trip repr, so load(save(model)) reproduces forward
-passes bit for bit. For m3 models the document also carries a fingerprint of
-the GLOVE table the model was built against; loading with different label
-vectors is refused.
+and every named parameter as its shape and a base64 string of its
+little-endian float64 bytes in C order. The bytes are the array's own, so
+load(save(model)) reproduces forward passes bit for bit. For m3 models the
+document also carries a fingerprint of the GLOVE table the model was built
+against; loading with different label vectors is refused.
+
+Format 1 documents, which held each parameter as a flat decimal list, still
+load; only format 2 is written.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .data import RESERVED_TOKENS, GloveTable, ValidationError, Vocabulary, _atomic_writer, glove_lines
+from .data import RESERVED_TOKENS, GloveTable, ValidationError, Vocabulary, _atomic_writer, _fits, glove_lines
 from .models import Model, ModelConfig, build
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValidationError):
@@ -37,6 +41,21 @@ def vocab_fingerprint(tokens: list[str]) -> str:
     return _sha256("\n".join(tokens))
 
 
+def _encode(values: np.ndarray) -> str:
+    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode(data, version: int) -> np.ndarray:
+    """A saved parameter's values, for the caller to reshape: in format 2 a
+    base64 string of little-endian float64 bytes, in format 1 a decimal list.
+    Raises TypeError or ValueError on a payload of the wrong type or encoding."""
+    if version == 1:
+        if not isinstance(data, list):
+            raise TypeError("format 1 data must be a list of numbers")
+        return np.asarray(data, dtype=np.float64)
+    return np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
+
+
 def save_checkpoint(path, model: Model, vocab: Vocabulary) -> None:
     if len(vocab) != model.config.vocab_size:
         raise CheckpointError(
@@ -49,7 +68,7 @@ def save_checkpoint(path, model: Model, vocab: Vocabulary) -> None:
         "vocab_sha256": vocab_fingerprint(vocab.tokens),
         "glove_sha256": glove_fingerprint(model.glove) if model.glove is not None else None,
         "params": {
-            name: {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
+            name: {"shape": list(p.shape), "data": _encode(p.data)}
             for name, p in model.params.items()
         },
     }
@@ -62,20 +81,26 @@ def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocab
     """Rebuild the model and vocabulary. m3 checkpoints require the same
     GLOVE table they were saved with (checked by fingerprint). A document
     that is malformed or does not fit raises CheckpointError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:  # RecursionError: nesting too deep
+        raise CheckpointError(f"{path}: checkpoint is not valid UTF-8 JSON: {e}") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: checkpoint is not a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise CheckpointError(f"{path}: unsupported checkpoint format version {version!r}")
 
     saved_config = doc.get("model_config")
     if not isinstance(saved_config, dict):
         raise CheckpointError(f"{path}: checkpoint has no model_config object")
     try:
+        for f in fields(ModelConfig):
+            if f.name in saved_config and not _fits(saved_config[f.name], f.type):
+                raise ValidationError(f"{f.name} must be {f.type}, got {saved_config[f.name]!r}")
         config = ModelConfig(**saved_config)
-    except (TypeError, ValidationError) as e:  # unknown or missing key, bad value
+    except (TypeError, ValidationError) as e:  # wrong type, unknown or missing key, bad value
         raise CheckpointError(f"{path}: bad model_config: {e}") from e
     tokens = doc.get("vocab_tokens")
     if not isinstance(tokens, list):
@@ -98,13 +123,17 @@ def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocab
             raise CheckpointError(f"{path}: this checkpoint needs the GLOVE table it was trained with")
         if glove_fingerprint(glove) != doc.get("glove_sha256"):
             raise CheckpointError(
-                f"{path}: GLOVE table hash mismatch: checkpoint was saved with different label vectors"
+                f"{path}: GLOVE table hash mismatch: checkpoint was saved with different label "
+                f"vectors than {glove.source or 'the given table'}"
             )
 
     saved = doc.get("params")
     if not isinstance(saved, dict):
         raise CheckpointError(f"{path}: checkpoint has no params object")
-    model = build(config, glove=glove if config.variant == "m3" else None)
+    try:
+        model = build(config, glove=glove if config.variant == "m3" else None)
+    except (ValidationError, MemoryError) as e:  # GLOVE dimension, unallocatable sizes
+        raise CheckpointError(f"{path}: cannot build the saved model: {e}") from None
     if set(saved) != set(model.params):
         raise CheckpointError(
             f"{path}: parameter names do not match config: saved {sorted(saved)} "
@@ -112,14 +141,13 @@ def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocab
         )
     for name, p in model.params.items():
         entry = saved[name]
-        if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
-                and isinstance(entry.get("data"), list)):
-            raise CheckpointError(f"{path}: parameter {name} needs a shape list and a data list")
+        if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)):
+            raise CheckpointError(f"{path}: parameter {name} needs a shape list and a data payload")
         shape = tuple(entry["shape"])
         if shape != p.shape:
             raise CheckpointError(f"{path}: parameter {name}: shape {shape} != expected {p.shape}")
         try:
-            values = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+            values = _decode(entry.get("data"), version).reshape(shape)
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: parameter {name}: bad data: {e}") from None
         if not np.all(np.isfinite(values)):

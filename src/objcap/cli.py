@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -21,6 +20,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     ValidationError,
     _atomic_writer,
+    _fits,
     build_vocab,
     convert_coco,
     load_glove,
@@ -62,16 +62,6 @@ _RUNSPEC_REQUIRED = {key for _, key, f in _config_fields() if f.default is MISSI
 _RUNSPEC_KEYS = _RUNSPEC_REQUIRED | set(_RUNSPEC_DEFAULTS)
 
 
-def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value has a field's annotated type ("int", "float | None",
-    ...): a bool is not a number and a float must be finite."""
-    kinds = {"str": str, "int": int, "float": (int, float), "None": type(None)}
-    allowed = tuple(kinds[name.strip()] for name in annotation.split("|"))
-    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
-        return False
-    return isinstance(value, allowed)
-
-
 def load_runspec(path) -> dict:
     """Read a training run description; unknown keys are rejected outright
     so a typo cannot silently fall back to a default, and each value must
@@ -79,7 +69,7 @@ def load_runspec(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nesting too deep
             raise ValidationError(f"{path}: run config is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: run config must be a JSON object")
@@ -134,9 +124,12 @@ def _cmd_train(args) -> int:
     glove = load_glove(spec["glove"]) if spec["glove"] else None
     train_set, val_set, test_set = split_dataset(records, seed=spec["split_seed"])
     vocab = build_vocab(train_set, min_count=spec["min_count"])
-    config = ModelConfig(vocab_size=len(vocab), **_config_args(spec, ModelConfig))
-    model = build(config, glove=glove if config.variant == "m3" else None)
-    train_config = TrainConfig(**_config_args(spec, TrainConfig))
+    try:
+        config = ModelConfig(vocab_size=len(vocab), **_config_args(spec, ModelConfig))
+        model = build(config, glove=glove if config.variant == "m3" else None)
+        train_config = TrainConfig(**_config_args(spec, TrainConfig))
+    except (ValidationError, MemoryError) as e:  # a bad or unallocatable setting
+        raise ValidationError(f"{args.config}: {e}") from None
     history = train(model, train_set, val_set, train_config, vocab)
     out_dir = Path(spec["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -154,7 +147,10 @@ def _cmd_eval(args) -> int:
     glove = load_glove(args.glove) if args.glove else None
     model, vocab = load_checkpoint(args.checkpoint, glove=glove)
     test_set = load_records(args.test)
-    report = evaluate(model, test_set, vocab, max_n=args.max_n)
+    try:
+        report = evaluate(model, test_set, vocab, max_n=args.max_n)
+    except ValidationError as e:  # records that do not fit the model
+        raise ValidationError(f"{args.test} with {args.checkpoint}: {e}") from None
     out = Path(args.out) if args.out else Path(args.checkpoint).parent / "eval_report.json"
     with _atomic_writer(out) as fh:
         fh.write(report.to_json() + "\n")
@@ -169,8 +165,10 @@ def _cmd_caption(args) -> int:
     matches = [r for r in records if r.id == args.record_id]
     if not matches:
         raise ValidationError(f"record id {args.record_id!r} not found in {args.records}")
-    ex = example_from_record(matches[0], vocab, model.config)
-    enc = encode(model, ex)
+    try:
+        enc = encode(model, example_from_record(matches[0], vocab, model.config))
+    except ValidationError as e:  # a record that does not fit the model
+        raise ValidationError(f"{args.records} with {args.checkpoint}: {e}") from None
     if args.beam is not None:
         ids = decode_beam(model, enc, width=args.beam)
     else:

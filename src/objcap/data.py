@@ -16,7 +16,7 @@ import math
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,27 @@ _PUNCT = '.,!?;:"()'
 
 class ValidationError(ValueError):
     """Raised when input data or configuration fails validation."""
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value has a field's annotated type ("int", "float | None",
+    ...): a bool is not a number and a float must be finite."""
+    kinds = {"str": str, "int": int, "float": (int, float), "None": type(None)}
+    allowed = tuple(kinds[name.strip()] for name in annotation.split("|"))
+    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        return False
+    return isinstance(value, allowed)
+
+
+def _text_lines(fh, path):
+    """(line number, text) for each line of ``fh``, a binary file opened on
+    ``path``; a line that is not UTF-8 raises ValidationError naming the file
+    and line."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{path}, line {lineno}: not UTF-8 text: {e}") from None
 
 
 @contextmanager
@@ -164,13 +185,13 @@ def _record_from_json(doc, where: str) -> ImageRecord:
 def load_records(path) -> list[ImageRecord]:
     """Read and validate a JSON-lines records file; errors name file and line."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, line in _text_lines(fh, path):
             if not line.strip():
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nesting too deep
                 raise ValidationError(f"{path}, line {lineno}: not valid JSON: {e}") from None
             records.append(_record_from_json(doc, where=f"{path}, line {lineno}"))
     return records
@@ -288,6 +309,7 @@ def decode_caption(vocab: Vocabulary, ids) -> list[str]:
 class GloveTable:
     vectors: dict[str, np.ndarray]
     dim: int
+    source: str = field(default="", compare=False)  # the file it was read from, for messages
 
     def lookup(self, word: str) -> np.ndarray:
         """Vector for word; unknown words map to the zero vector."""
@@ -304,8 +326,8 @@ def load_glove(path) -> GloveTable:
     """Parse the standard text format: word followed by d finite decimal values."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, line in _text_lines(fh, path):
             parts = line.split()
             if not parts:
                 continue
@@ -325,7 +347,7 @@ def load_glove(path) -> GloveTable:
                 raise ValidationError(f"{where}: vector value is NaN or infinite")
     if dim is None:
         raise ValidationError(f"{path}: GLOVE file is empty")
-    return GloveTable(vectors=vectors, dim=dim)
+    return GloveTable(vectors=vectors, dim=dim, source=str(path))
 
 
 def glove_lines(table: GloveTable):

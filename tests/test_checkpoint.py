@@ -1,9 +1,10 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
-from objcap.checkpoint import CheckpointError, glove_fingerprint, load_checkpoint, save_checkpoint
+from objcap.checkpoint import FORMAT_VERSION, CheckpointError, glove_fingerprint, load_checkpoint, save_checkpoint
 from objcap.data import GloveTable, build_vocab, synth_corpus
 from objcap.models import ModelConfig, build, decode_greedy, encode, example_from_record
 from objcap.training import TrainConfig, train
@@ -28,6 +29,15 @@ def trained_setup(tmp_path, variant="m3", epochs=2):
     model = build(ModelConfig(**kwargs), glove=glove if variant == "m3" else None)
     train(model, records, [], TrainConfig(epochs=epochs, rng_seed=1), vocab)
     return records, glove, vocab, model
+
+
+def payload(values) -> str:
+    """A format-2 parameter payload: base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def saved_values(entry) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
 
 
 @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
@@ -128,7 +138,7 @@ def test_shape_mismatch_rejected(tmp_path):
     save_checkpoint(path, model, vocab)
     doc = json.loads(path.read_text())
     doc["params"]["head.bias"]["shape"] = [3]
-    doc["params"]["head.bias"]["data"] = [0.0, 0.0, 0.0]
+    doc["params"]["head.bias"]["data"] = payload([0.0, 0.0, 0.0])
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError):
         load_checkpoint(path, glove=glove)
@@ -168,9 +178,23 @@ def test_missing_model_config_rejected(tmp_path):
     assert "model_config" in str(e.value) and str(path) in str(e.value)
 
 
+def test_payload_is_base64_little_endian_float64(tmp_path):
+    _, _, vocab, model = trained_setup(tmp_path, "m1", epochs=1)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, vocab)
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == FORMAT_VERSION == 2
+    for name, p in model.params.items():
+        entry = doc["params"][name]
+        assert entry["shape"] == list(p.shape)
+        assert entry["data"] == payload(p.data.reshape(-1))
+        assert saved_values(entry).tobytes() == p.data.astype("<f8").tobytes()
+
+
 def malformed(doc, case):
     """A copy of a saved checkpoint document, broken in one way."""
     params, entry = doc["params"], doc["params"]["head.bias"]
+    values = saved_values(entry)
     if case == "top-level-array":
         return [doc]
     if case == "no-vocab-tokens":
@@ -187,12 +211,22 @@ def malformed(doc, case):
         del entry["shape"]
     elif case == "entry-without-data":
         del entry["data"]
-    elif case == "non-numeric-data":
-        entry["data"] = ["x"] * len(entry["data"])
-    elif case == "data-wrong-length":
-        entry["data"] = entry["data"][1:]
+    elif case == "non-numeric-data":  # a character outside the base64 alphabet
+        entry["data"] = entry["data"][:4] + "*" + entry["data"][4:]
+    elif case == "truncated-data":  # cut inside a 4-character base64 group
+        entry["data"] = entry["data"][:-3]
+    elif case == "data-wrong-length":  # one float short
+        entry["data"] = payload(values[:-1])
+    elif case == "data-one-float-long":
+        entry["data"] = payload(np.append(values, 0.0))
+    elif case == "list-data":  # a format-1 payload in a format-2 document
+        entry["data"] = values.tolist()
     elif case == "nan-data":
-        entry["data"][0] = float("nan")
+        entry["data"] = payload(np.where(np.arange(values.size) == 0, np.nan, values))
+    elif case == "inf-data":
+        entry["data"] = payload(np.where(np.arange(values.size) == 0, -np.inf, values))
+    elif case == "v1-base64-data":  # a format-2 payload in a format-1 document
+        doc["format_version"] = 1
     return doc
 
 
@@ -208,8 +242,13 @@ def malformed(doc, case):
         ("entry-without-shape", "head.bias"),
         ("entry-without-data", "head.bias"),
         ("non-numeric-data", "head.bias"),
+        ("truncated-data", "head.bias"),
         ("data-wrong-length", "head.bias"),
+        ("data-one-float-long", "head.bias"),
+        ("list-data", "head.bias"),
         ("nan-data", "head.bias"),
+        ("inf-data", "head.bias"),
+        ("v1-base64-data", "word_embed.table"),
     ],
 )
 def test_malformed_document_rejected(tmp_path, case, named):
@@ -220,3 +259,56 @@ def test_malformed_document_rejected(tmp_path, case, named):
     with pytest.raises(CheckpointError) as e:
         load_checkpoint(path, glove=glove)
     assert named in str(e.value) and str(path) in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"", b'{"format_version": 2, "params": {', b"not json", b'{"format_version": 2, "vocab_tokens": ["\xff"]}',
+     b"[" * 100_000],
+    ids=["empty", "truncated", "not-json", "not-utf8", "nested-too-deep"],
+)
+def test_undecodable_file_rejected_naming_it(tmp_path, content):
+    path = tmp_path / "ck.json"
+    path.write_bytes(content)
+    with pytest.raises(CheckpointError) as e:
+        load_checkpoint(path)
+    assert str(path) in str(e.value)
+
+
+def test_unallocatable_dimensions_rejected(tmp_path):
+    # 10**16 x reduced_dim float64s is more than any address space maps, so
+    # the allocation fails at once
+    _, glove, vocab, model = trained_setup(tmp_path)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, vocab)
+    doc = json.loads(path.read_text())
+    doc["model_config"]["visual_dim"] = 10**16
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError) as e:
+        load_checkpoint(path, glove=glove)
+    assert str(path) in str(e.value) and "allocate" in str(e.value)
+
+
+@pytest.mark.parametrize("variant", ["m1", "m3"])
+def test_format_1_checkpoint_loads_bit_identically(tmp_path, variant):
+    records, glove, vocab, model = trained_setup(tmp_path, variant)
+    glove = glove if variant == "m3" else None
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, vocab)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    for name, p in model.params.items():
+        doc["params"][name]["data"] = p.data.reshape(-1).tolist()
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    loaded, loaded_vocab = load_checkpoint(path, glove=glove)
+    assert loaded_vocab.tokens == vocab.tokens
+    for name, p in model.params.items():
+        assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+    for rec in records:
+        ex = example_from_record(rec, vocab, model.config)
+        assert decode_greedy(loaded, encode(loaded, ex)) == decode_greedy(model, encode(model, ex))
+    # the shared checks still apply to format 1
+    doc["params"]["head.bias"]["data"][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="head.bias"):
+        load_checkpoint(path, glove=glove)

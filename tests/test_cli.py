@@ -264,9 +264,10 @@ def test_runspec_accepts_each_allowed_type(tmp_path, key, value):
 
 def test_runspec_invalid_json_names_the_file(tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text('{"variant": "m3",')
-    assert main(["train", "--config", str(config)]) == 1
-    assert str(config) in capsys.readouterr().err
+    for text in ('{"variant": "m3",', "[" * 100_000):  # cut short; nested too deep
+        config.write_text(text)
+        assert main(["train", "--config", str(config)]) == 1
+        assert str(config) in capsys.readouterr().err
 
 
 _JSON_VALUES = {
@@ -347,7 +348,8 @@ def test_eval_glove_mismatch_exits_1(tmp_path, capsys):
         "--test", str(out_dir / "test_records.jsonl"),
         "--glove", str(other_dir / "glove.txt"),
     ]) == 1
-    assert "hash mismatch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "hash mismatch" in err and str(other_dir / "glove.txt") in err
 
 
 def test_missing_file_exits_1(tmp_path, capsys):
@@ -388,6 +390,33 @@ def test_eval_bad_records_names_the_file(tmp_path, capsys):
     assert str(test) in err and "line 2" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["caption", "eval"])
+def test_records_that_do_not_fit_the_model_name_both_files(tmp_path, capsys, command):
+    checkpoint, _ = untrained_caption_args(tmp_path)
+    records = tmp_path / "narrow" / "records.jsonl"
+    main(synth_args(tmp_path / "narrow", images=4) + ["--visual-dim", "3"])  # the model takes 16
+    glove = ["--glove", str(tmp_path / "data" / "glove.txt")]
+    if command == "eval":
+        args = ["eval", "--checkpoint", str(checkpoint), "--test", str(records)] + glove
+    else:
+        args = ["caption", "--checkpoint", str(checkpoint), "--records", str(records),
+                "--record-id", load_records(records)[0].id] + glove
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert str(records) in err and str(checkpoint) in err and "visual_dim" in err
+
+
+def test_train_unallocatable_dimensions_exit_1_naming_the_config(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    main(synth_args(data_dir))
+    config = tmp_path / "run.json"
+    # 16 x 10**16 float64s is more than any address space maps, so the allocation fails at once
+    write_runspec(config, data_dir, tmp_path / "run", reduced_dim=10**16)
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and "allocate" in err and "Traceback" not in err
+
+
 def test_module_entry_point(tmp_path):
     hyp = tmp_path / "h.txt"
     hyp.write_text("a b\n")
@@ -397,3 +426,55 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1.0"
+
+
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory):
+    """The bytes of a tiny corpus's records and GLOVE files and of an m3
+    checkpoint built on them: small, so byte mutations often hit structure."""
+    data_dir = tmp_path_factory.mktemp("eval_files")
+    assert main(["synth", "--seed", "3", "--images", "3", "--labels", "3", "--out", str(data_dir),
+                 "--visual-dim", "3", "--glove-dim", "2"]) == 0
+    vocab = build_vocab(load_records(data_dir / "records.jsonl"))
+    config = ModelConfig(
+        variant="m3", visual_dim=3, vocab_size=len(vocab), max_caption_len=6, reduced_dim=2,
+        text_embed_dim=2, lang_hidden=2, decoder_hidden=3, label_embed_dim=2, max_objects=5,
+    )
+    save_checkpoint(data_dir / "checkpoint.json", build(config, glove=load_glove(data_dir / "glove.txt")), vocab)
+    return {name: (data_dir / name).read_bytes() for name in ("records.jsonl", "glove.txt", "checkpoint.json")}
+
+
+def mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, where, byte in edits:
+        pos = where % (len(out) + 1)
+        if kind == "flip" and pos < len(out):
+            out[pos] ^= 1 << (byte % 8)
+        elif kind == "delete":
+            del out[pos : pos + 1]
+        elif kind == "insert":
+            out.insert(pos, byte)
+        elif kind == "truncate":
+            del out[pos:]
+    return bytes(out)
+
+
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["flip", "delete", "insert", "truncate"]), st.integers(0, 2**20), st.integers(0, 255)),
+    min_size=1, max_size=2,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(["records.jsonl", "glove.txt", "checkpoint.json"]), edits=_EDITS)
+def test_mutated_eval_input_exits_0_or_1_naming_the_file(eval_files, target, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in eval_files}
+        for name, data in eval_files.items():
+            paths[name].write_bytes(mutate(data, edits) if name == target else data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", "--checkpoint", str(paths["checkpoint.json"]),
+                         "--test", str(paths["records.jsonl"]), "--glove", str(paths["glove.txt"]),
+                         "--out", str(Path(tmp) / "report.json")])
+    assert code == 0 or (code == 1 and str(paths[target]) in err.getvalue()), err.getvalue()

@@ -247,6 +247,17 @@ def test_load_records_rejects_json_array_line(tmp_path):
 
 def test_load_records_rejects_invalid_json_line(tmp_path):
     assert "not valid JSON" in load_second_line(tmp_path, "{oops")
+    assert "not valid JSON" in load_second_line(tmp_path, "[" * 100_000)  # nested too deep
+
+
+@pytest.mark.parametrize("loader", [load_records, load_glove])
+def test_non_utf8_line_names_the_file_and_line(tmp_path, loader):
+    p = tmp_path / "input.txt"
+    first = json.dumps(record_doc("r1")) if loader is load_records else "cat 0.1 0.2"
+    p.write_bytes(first.encode() + b"\ndog \xff 0.5\n")
+    with pytest.raises(ValidationError) as e:
+        loader(p)
+    assert f"{p}, line 2" in str(e.value) and "UTF-8" in str(e.value)
 
 
 def test_load_records_rejects_non_list_objects(tmp_path):
