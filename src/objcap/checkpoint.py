@@ -19,7 +19,16 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .data import RESERVED_TOKENS, GloveTable, ValidationError, Vocabulary, _atomic_writer, _fits, glove_lines
+from .data import (
+    RESERVED_TOKENS,
+    GloveTable,
+    ValidationError,
+    Vocabulary,
+    _atomic_writer,
+    _fits,
+    _read_json,
+    glove_lines,
+)
 from .models import Model, ModelConfig, build
 
 FORMAT_VERSION = 2
@@ -81,11 +90,7 @@ def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocab
     """Rebuild the model and vocabulary. m3 checkpoints require the same
     GLOVE table they were saved with (checked by fingerprint). A document
     that is malformed or does not fit raises CheckpointError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:  # RecursionError: nesting too deep
-        raise CheckpointError(f"{path}: checkpoint is not valid UTF-8 JSON: {e}") from None
+    doc = _read_json(path, "checkpoint", CheckpointError)
     if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: checkpoint is not a JSON object")
     version = doc.get("format_version")
@@ -132,7 +137,7 @@ def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocab
         raise CheckpointError(f"{path}: checkpoint has no params object")
     try:
         model = build(config, glove=glove if config.variant == "m3" else None)
-    except (ValidationError, MemoryError) as e:  # GLOVE dimension, unallocatable sizes
+    except (ValidationError, MemoryError, OverflowError) as e:  # GLOVE dimension, sizes too large
         raise CheckpointError(f"{path}: cannot build the saved model: {e}") from None
     if set(saved) != set(model.params):
         raise CheckpointError(

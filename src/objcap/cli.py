@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -21,6 +20,8 @@ from .data import (
     ValidationError,
     _atomic_writer,
     _fits,
+    _read_json,
+    _text_lines,
     build_vocab,
     convert_coco,
     load_glove,
@@ -66,11 +67,7 @@ def load_runspec(path) -> dict:
     """Read a training run description; unknown keys are rejected outright
     so a typo cannot silently fall back to a default, and each value must
     have its field's type. Errors name the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nesting too deep
-            raise ValidationError(f"{path}: run config is not valid JSON: {e}") from None
+    doc = _read_json(path, "run config")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: run config must be a JSON object")
     unknown = sorted(doc.keys() - _RUNSPEC_KEYS)
@@ -128,7 +125,7 @@ def _cmd_train(args) -> int:
         config = ModelConfig(vocab_size=len(vocab), **_config_args(spec, ModelConfig))
         model = build(config, glove=glove if config.variant == "m3" else None)
         train_config = TrainConfig(**_config_args(spec, TrainConfig))
-    except (ValidationError, MemoryError) as e:  # a bad or unallocatable setting
+    except (ValidationError, MemoryError, OverflowError) as e:  # a bad or too large setting
         raise ValidationError(f"{args.config}: {e}") from None
     history = train(model, train_set, val_set, train_config, vocab)
     out_dir = Path(spec["out_dir"])
@@ -177,22 +174,27 @@ def _cmd_caption(args) -> int:
     return 0
 
 
+def _read_lines(path) -> list[str]:
+    """The text lines of ``path``; a line that is not UTF-8 raises
+    ValidationError naming the file and line."""
+    with open(path, "rb") as fh:
+        return "".join(text for _, text in _text_lines(fh, path)).splitlines()
+
+
 def _cmd_bleu(args) -> int:
-    with open(args.hyp, encoding="utf-8") as fh:
-        hyp_lines = fh.read().splitlines()
-    with open(args.refs, encoding="utf-8") as fh:
-        ref_lines = fh.read().splitlines()
+    hyp_lines, ref_lines = _read_lines(args.hyp), _read_lines(args.refs)
     if len(hyp_lines) != len(ref_lines):
         raise ValidationError(
-            f"line count mismatch: {len(hyp_lines)} hypotheses vs {len(ref_lines)} reference lines"
+            f"line count mismatch: {len(hyp_lines)} hypotheses in {args.hyp} vs "
+            f"{len(ref_lines)} reference lines in {args.refs}"
         )
     if not hyp_lines:
-        raise ValidationError("empty input files")
+        raise ValidationError(f"empty input files: {args.hyp} and {args.refs}")
     pairs = []
     for lineno, (hline, rline) in enumerate(zip(hyp_lines, ref_lines), start=1):
         refs = [chunk.split() for chunk in rline.split("\t") if chunk.split()]
         if not refs:
-            raise ValidationError(f"refs line {lineno}: no reference tokens")
+            raise ValidationError(f"{args.refs}, line {lineno}: no reference tokens")
         pairs.append((hline.split(), refs))
     print(corpus_bleu(pairs, max_n=args.max_n))
     return 0

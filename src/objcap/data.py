@@ -7,7 +7,9 @@ The on-disk record format is JSON-lines, one image per line:
     [...], "bbox": [x, y, w, h], "distance": D}, ...], "captions": [5 strings]}
 
 ``distance`` is the distance from the bbox center to the image origin and
-is validated against the bbox on load.
+is validated against the bbox on load. In memory each object's feature is a
+1-D float64 array, built once where the record is read or made; only
+``record_to_json`` turns it back into a list.
 """
 from __future__ import annotations
 
@@ -55,6 +57,16 @@ def _text_lines(fh, path):
             raise ValidationError(f"{path}, line {lineno}: not UTF-8 text: {e}") from None
 
 
+def _read_json(path, what: str, error=ValidationError):
+    """The JSON document in ``path``; a file that is not UTF-8 JSON raises
+    ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or too many digits; nesting too deep
+        raise error(f"{path}: {what} is not valid UTF-8 JSON: {e}") from None
+
+
 @contextmanager
 def _atomic_writer(path):
     """A text file handle on a temp file beside ``path``, renamed over
@@ -73,9 +85,14 @@ def _atomic_writer(path):
 @dataclass
 class ObjectInstance:
     label: str
-    feature: list[float]
+    feature: np.ndarray  # 1-D float64
     bbox: tuple[float, float, float, float]  # x, y, w, h in pixels
     distance: float
+
+    def __eq__(self, other):  # the generated one would take an array comparison's truth value
+        return isinstance(other, ObjectInstance) and np.array_equal(self.feature, other.feature) and (
+            (self.label, self.bbox, self.distance) == (other.label, other.bbox, other.distance)
+        )
 
 
 @dataclass
@@ -99,24 +116,19 @@ def validate_record(rec: ImageRecord, where: str = "") -> None:
         )
     if len(rec.captions) != CAPTIONS_PER_IMAGE:
         raise ValidationError(f"{ctx}: expected {CAPTIONS_PER_IMAGE} captions, got {len(rec.captions)}")
-    feat_len = None
     for k, obj in enumerate(rec.objects):
-        if not obj.feature:
+        if len(obj.feature) == 0:
             raise ValidationError(f"{ctx}: object {k} has an empty feature vector")
-        # one sum shows a NaN or an infinity; only an overflowing sum needs the per-value check
-        if not math.isfinite(sum(obj.feature)) and not all(map(math.isfinite, obj.feature)):
+        if not np.isfinite(obj.feature).all():
             raise ValidationError(f"{ctx}: object {k} feature holds NaN or Infinity")
-        if feat_len is None:
-            feat_len = len(obj.feature)
-        elif len(obj.feature) != feat_len:
+        if len(obj.feature) != len(rec.objects[0].feature):
             raise ValidationError(
-                f"{ctx}: object {k} feature length {len(obj.feature)} != {feat_len}"
+                f"{ctx}: object {k} feature length {len(obj.feature)} != {len(rec.objects[0].feature)}"
             )
-        if len(obj.bbox) != 4 or not all(map(math.isfinite, (*obj.bbox, obj.distance))):
-            raise ValidationError(
-                f"{ctx}: object {k} needs a bbox of 4 finite numbers [x, y, w, h] and a finite "
-                f"distance, got {obj.bbox} and {obj.distance}"
-            )
+        if len(obj.bbox) != 4 or not all(map(math.isfinite, obj.bbox)):
+            raise ValidationError(f"{ctx}: object {k} bbox must be 4 finite numbers [x, y, w, h]: {obj.bbox}")
+        if not math.isfinite(obj.distance):
+            raise ValidationError(f"{ctx}: object {k} distance must be finite, got {obj.distance}")
         x, y, w, h = obj.bbox
         if x < 0 or y < 0 or w <= 0 or h <= 0:
             raise ValidationError(f"{ctx}: object {k} has invalid bbox {obj.bbox}")
@@ -132,12 +144,13 @@ _RECORD_FIELDS = {"id", "num_objects", "objects", "captions"}
 _OBJECT_FIELDS = {"label", "feature", "bbox", "distance"}
 
 
-def _floats(values, ctx: str, what: str) -> list[float]:
-    """A JSON array of numbers, as Python floats."""
+def _floats(values, ctx: str, what: str) -> np.ndarray:
+    """A JSON array of numbers, as a 1-D float64 array; a null reads as NaN,
+    which ``validate_record`` rejects."""
     if isinstance(values, list):
         try:
-            return list(map(float, values))
-        except (TypeError, ValueError):
+            return np.fromiter(values, np.float64, len(values))
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond float range
             pass
     raise ValidationError(f"{ctx}: {what}: expected a list of numbers, got {values!r:.60}")
 
@@ -168,8 +181,8 @@ def _record_from_json(doc, where: str) -> ImageRecord:
             ObjectInstance(
                 label=str(o["label"]),
                 feature=_floats(o["feature"], ctx, f"object {k} feature"),
-                bbox=tuple(_floats(o["bbox"], ctx, f"object {k} bbox")),
-                distance=_floats([o["distance"]], ctx, f"object {k} distance")[0],
+                bbox=tuple(_floats(o["bbox"], ctx, f"object {k} bbox").tolist()),
+                distance=_floats([o["distance"]], ctx, f"object {k} distance").item(),
             )
         )
     rec = ImageRecord(
@@ -191,7 +204,7 @@ def load_records(path) -> list[ImageRecord]:
                 continue
             try:
                 doc = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nesting too deep
+            except (ValueError, RecursionError) as e:  # an integer of too many digits; nesting too deep
                 raise ValidationError(f"{path}, line {lineno}: not valid JSON: {e}") from None
             records.append(_record_from_json(doc, where=f"{path}, line {lineno}"))
     return records
@@ -204,7 +217,7 @@ def record_to_json(rec: ImageRecord) -> str:
         "objects": [
             {
                 "label": o.label,
-                "feature": o.feature,
+                "feature": o.feature.tolist(),
                 "bbox": list(o.bbox),
                 "distance": o.distance,
             }
@@ -451,7 +464,7 @@ def synth_corpus(seed: int, n_images: int, n_labels: int, visual_dim: int, glove
             objects.append(
                 ObjectInstance(
                     label=names[j],
-                    feature=[float(v) for v in feature],
+                    feature=feature,
                     bbox=bbox,
                     distance=bbox_center_distance(bbox),
                 )
@@ -477,18 +490,24 @@ def synth_corpus(seed: int, n_images: int, n_labels: int, visual_dim: int, glove
 
 def load_coco_captions(path) -> dict[str, list[str]]:
     """Accept either a plain {image_id: [caption, ...]} mapping or the
-    annotation-list layout with "images"/"annotations" keys."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and "annotations" in doc:
+    annotation-list layout with "images"/"annotations" keys. Errors name the file."""
+    doc = _read_json(path, "captions file")
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: unrecognized captions JSON layout")
+    if "annotations" in doc:
+        anns = doc["annotations"]
+        if not isinstance(anns, list) or not all(
+            isinstance(a, dict) and {"image_id", "caption"} <= a.keys() and _fits(a.get("id", 0), "float")
+            for a in anns
+        ):
+            raise ValidationError(f"{path}: each annotation needs an image_id, a caption and a numeric id")
         grouped: dict[str, list[str]] = {}
-        anns = sorted(doc["annotations"], key=lambda a: a.get("id", 0))
-        for ann in anns:
+        for ann in sorted(anns, key=lambda a: a.get("id", 0)):
             grouped.setdefault(str(ann["image_id"]), []).append(str(ann["caption"]))
         return grouped
-    if isinstance(doc, dict):
-        return {str(k): [str(c) for c in v] for k, v in doc.items()}
-    raise ValidationError("unrecognized captions JSON layout")
+    if not all(isinstance(v, list) for v in doc.values()):
+        raise ValidationError(f"{path}: each image id must map to a list of captions")
+    return {str(k): [str(c) for c in v] for k, v in doc.items()}
 
 
 def convert_coco(captions_path, features_path, out_path) -> int:
@@ -498,30 +517,36 @@ def convert_coco(captions_path, features_path, out_path) -> int:
     distances are derived from the bboxes. Returns the record count.
     """
     captions_by_id = load_coco_captions(captions_path)
-    with open(features_path, encoding="utf-8") as fh:
-        features_by_id = json.load(fh)
+    features_by_id = _read_json(features_path, "features file")
     if not isinstance(features_by_id, dict):
-        raise ValidationError("features JSON must map image id to an object list")
+        raise ValidationError(f"{features_path}: features JSON must map image id to an object list")
 
     records = []
     for image_id in sorted(features_by_id):
-        caps = captions_by_id.get(str(image_id))
+        ctx = f"{features_path}: image {image_id!r}"
+        caps = captions_by_id.get(image_id)
         if caps is None:
-            raise ValidationError(f"image {image_id!r}: no captions found")
+            raise ValidationError(f"{ctx}: no captions found in {captions_path}")
         if len(caps) < CAPTIONS_PER_IMAGE:
             raise ValidationError(
-                f"image {image_id!r}: need {CAPTIONS_PER_IMAGE} captions, got {len(caps)}"
+                f"{ctx}: need {CAPTIONS_PER_IMAGE} captions in {captions_path}, got {len(caps)}"
             )
+        if not isinstance(features_by_id[image_id], list):
+            raise ValidationError(f"{ctx}: expected a list of objects")
         objects = []
         for k, o in enumerate(features_by_id[image_id]):
+            if not isinstance(o, dict):
+                raise ValidationError(f"{ctx}: object {k} is not a JSON object")
             miss = {"label", "feature", "bbox"} - o.keys()
             if miss:
-                raise ValidationError(f"image {image_id!r}: object {k} missing {sorted(miss)}")
-            bbox = tuple(float(v) for v in o["bbox"])
+                raise ValidationError(f"{ctx}: object {k} missing {sorted(miss)}")
+            bbox = tuple(_floats(o["bbox"], ctx, f"object {k} bbox").tolist())
+            if len(bbox) != 4:
+                raise ValidationError(f"{ctx}: object {k} bbox must be 4 numbers [x, y, w, h], got {bbox}")
             objects.append(
                 ObjectInstance(
                     label=str(o["label"]),
-                    feature=[float(v) for v in o["feature"]],
+                    feature=_floats(o["feature"], ctx, f"object {k} feature"),
                     bbox=bbox,
                     distance=bbox_center_distance(bbox),
                 )
@@ -532,7 +557,7 @@ def convert_coco(captions_path, features_path, out_path) -> int:
             objects=objects,
             captions=caps[:CAPTIONS_PER_IMAGE],
         )
-        validate_record(rec)
+        validate_record(rec, where=f" ({features_path})")
         records.append(rec)
     write_records(out_path, records)
     return len(records)

@@ -183,18 +183,16 @@ def example_from_record(
     trimmed = ids[: ids.index(END) + 1]
     if not record.objects:
         raise ValidationError(f"record {record.id!r} has no objects to build features from")
-    features = [np.asarray(o.feature, dtype=np.float64) for o in record.objects]
-    if any(f.shape != (config.visual_dim,) for f in features):
+    if any(o.feature.shape != (config.visual_dim,) for o in record.objects):
         raise ValidationError(
             f"record {record.id!r}: feature length != visual_dim {config.visual_dim}"
         )
     if config.variant == "m3":
-        objects = [
-            (feat, obj.label, obj.distance) for feat, obj in zip(features, record.objects)
-        ]
+        objects = [(o.feature, o.label, o.distance) for o in record.objects]
         return CaptionExample(caption_ids=trimmed, objects=objects)
     # whole-image stand-in for the object-level records: mean object feature
-    return CaptionExample(caption_ids=trimmed, visual=np.mean(features, axis=0))
+    visual = np.mean([o.feature for o in record.objects], axis=0)
+    return CaptionExample(caption_ids=trimmed, visual=visual)
 
 
 def _check_example(model: Model, example: CaptionExample) -> None:
@@ -324,17 +322,16 @@ def _init_state(model: Model, rows: int = 1) -> _DecodeState:
     )
 
 
-def decode_step(model: Model, encoding: Tensor, state: _DecodeState, token):
+def decode_step(model: Model, encoding: Tensor, state: _DecodeState, tokens: np.ndarray):
     """Feed one token to each of B rows, return (logits, next state).
 
-    ``encoding`` and ``state`` hold B rows. ``token`` is one id (B = 1),
-    which returns the logits as a length-V ndarray, or a 1-D array of B ids,
-    which returns them as a B*V ndarray. m2 generates with its forward
-    direction only; the backward half of the head input is zero because
-    future context does not exist at inference.
+    ``encoding`` and ``state`` hold B rows and ``tokens`` is a 1-D array of
+    B ids; the logits come back as a B*V ndarray. m2 generates with its
+    forward direction only; the backward half of the head input is zero
+    because future context does not exist at inference.
     """
     cfg = model.config
-    e = embed(model.word_embed, token)
+    e = embed(model.word_embed, tokens)
     h_lang, c_lang = lstm_step(model.lang_lstm, e, state.h_lang, state.c_lang)
     x = concat([encoding, h_lang], axis=1)
     if cfg.variant == "m2":
@@ -344,8 +341,6 @@ def decode_step(model: Model, encoding: Tensor, state: _DecodeState, token):
         h_dec, c_dec = lstm_step(model.decoder, x, state.h_dec, state.c_dec)
         head_in = h_dec
     logits = vocab_head(model.head, head_in).data
-    if isinstance(token, (int, np.integer)):
-        logits = logits[0].copy()
     return logits, _DecodeState(h_lang, c_lang, h_dec, c_dec)
 
 
@@ -449,9 +444,9 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
     if max_len < 1:
         return []
 
-    logits, state = decode_step(model, encoding, _init_state(model), START)
+    logits, state = decode_step(model, encoding, _init_state(model), np.array([START]))
     # alive: (content tokens, summed logprob, state, next-token logprobs)
-    alive = [((), 0.0, state, _log_softmax_row(logits))]
+    alive = [((), 0.0, state, _log_softmax_row(logits[0]))]
     finished: list[tuple[float, tuple[int, ...]]] = []  # (normalized score, emitted)
 
     for it in range(max_len):
@@ -484,8 +479,8 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
                 # loop is over; this hypothesis is terminal by cutoff
                 finished.append((norm, emitted))
             else:
-                logits, new_state = decode_step(model, encoding, parent_state, tok)
-                alive.append((emitted, lp, new_state, _log_softmax_row(logits)))
+                logits, new_state = decode_step(model, encoding, parent_state, np.array([tok]))
+                alive.append((emitted, lp, new_state, _log_softmax_row(logits[0])))
 
     finished.append(_scored_greedy(model, encoding, max_len))
     _, best_emitted = min(finished, key=lambda entry: (-entry[0], entry[1]))

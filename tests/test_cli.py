@@ -168,6 +168,23 @@ def test_bleu_line_count_mismatch(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hyp_bytes, refs_bytes, bad, message", [
+    (b"a b\n\xff c\n", b"a b\na c\n", "hyp", "line 2: not UTF-8"),
+    (b"a b\n", b"\xfe\n", "refs", "line 1: not UTF-8"),
+    (b"a\nb\n", b"a\n", "both", "mismatch"),
+    (b"a\nb\n", b"a\n \t \n", "refs", "line 2: no reference tokens"),
+    (b"", b"", "both", "empty input files"),
+], ids=["hyp-not-utf8", "refs-not-utf8", "mismatch", "no-reference-tokens", "empty"])
+def test_bleu_errors_name_the_files(tmp_path, capsys, hyp_bytes, refs_bytes, bad, message):
+    hyp, refs = tmp_path / "hyp.txt", tmp_path / "refs.txt"
+    hyp.write_bytes(hyp_bytes)
+    refs.write_bytes(refs_bytes)
+    assert main(["bleu", "--hyp", str(hyp), "--refs", str(refs)]) == 1
+    err = capsys.readouterr().err
+    named = {"hyp": [hyp], "refs": [refs], "both": [hyp, refs]}[bad]
+    assert all(str(path) in err for path in named) and message in err, err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err.lower()
@@ -364,6 +381,97 @@ def test_prepare_roundtrip(tmp_path):
     fp.write_text(json.dumps(feats))
     assert main(["prepare", "--coco-captions", str(cp), "--features", str(fp), "--out", str(op)]) == 0
     assert len(load_records(op)) == 1
+
+
+_CAPTIONS = {"1": [f"caption {i}" for i in range(5)]}
+_FEATURES = {"1": [{"label": "owl", "feature": [0.5, 1.0], "bbox": [1, 2, 3, 4]}]}
+
+
+def with_object(**fields):
+    return {"1": [dict(_FEATURES["1"][0], **fields)]}
+
+
+@pytest.mark.parametrize("captions, features, bad", [
+    ({"1": 1}, _FEATURES, "captions"),
+    ({"1": "a b c d e"}, _FEATURES, "captions"),
+    ({"annotations": 3}, _FEATURES, "captions"),
+    ({"annotations": [{"image_id": 1}]}, _FEATURES, "captions"),
+    ({"annotations": [{"image_id": 1, "caption": "a", "id": "x"}]}, _FEATURES, "captions"),
+    ([1], _FEATURES, "captions"),
+    ("{oops", _FEATURES, "captions"),
+    (b"\xff", _FEATURES, "captions"),
+    (_CAPTIONS, {"1": 5}, "features"),
+    (_CAPTIONS, {"1": [5]}, "features"),
+    (_CAPTIONS, [1], "features"),
+    (_CAPTIONS, "[" * 100_000, "features"),
+    (_CAPTIONS, with_object(feature=["x", 1.0]), "image"),
+    (_CAPTIONS, with_object(feature=[[0.5], [1.0]]), "image"),
+    (_CAPTIONS, with_object(feature=5), "image"),
+    (_CAPTIONS, with_object(feature=[float("nan"), 1.0]), "image"),
+    (_CAPTIONS, with_object(bbox=["x", 2, 3, 4]), "image"),
+    (_CAPTIONS, with_object(bbox=[1, 2, 3]), "image"),
+    (_CAPTIONS, with_object(bbox=[1, 2, 3, -4]), "image"),
+    (_CAPTIONS, {"2": _FEATURES["1"]}, "image"),
+    ({"1": ["a", "b"]}, _FEATURES, "image"),
+], ids=[
+    "caption-int", "caption-string", "annotations-int", "annotation-no-caption", "annotation-string-id",
+    "captions-list", "captions-not-json", "captions-not-utf8", "objects-int", "object-int", "features-list",
+    "features-too-deep", "feature-string", "feature-nested", "feature-int", "feature-nan", "bbox-string",
+    "bbox-three", "bbox-negative", "no-captions", "two-captions",
+])
+def test_prepare_malformed_input_exits_1_naming_the_file(tmp_path, capsys, captions, features, bad):
+    cp, fp, op = tmp_path / "caps.json", tmp_path / "feats.json", tmp_path / "out.jsonl"
+    for path, doc in ((cp, captions), (fp, features)):
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main(["prepare", "--coco-captions", str(cp), "--features", str(fp), "--out", str(op)]) == 1
+    err = capsys.readouterr().err
+    assert str(cp if bad == "captions" else fp) in err, err
+    if bad == "image":
+        assert "'1'" in err or "'2'" in err, err
+    assert not op.exists()
+
+
+BIG = "1" + "0" * 400  # 10**400, beyond the float range
+HUGE = "1" + "0" * 5000  # beyond the 4,300 digits Python parses into an int
+
+
+@pytest.mark.parametrize("target, literal", [
+    ("records", BIG), ("records", HUGE), ("learning_rate", BIG), ("grad_clip_norm", BIG),
+    ("reduced_dim", BIG), ("learning_rate", HUGE), ("checkpoint", BIG), ("checkpoint", HUGE),
+], ids=lambda value: f"{len(value)}-digits" if value.isdigit() else value)
+def test_too_large_integer_literal_exits_1_naming_the_file(tmp_path, capsys, target, literal):
+    def put_literal(path, doc):  # "@" marks where the literal goes
+        path.write_text(json.dumps(doc).replace('"@"', literal) + "\n")
+
+    data_dir, config = tmp_path / "data", tmp_path / "run.json"
+    if target == "checkpoint":
+        bad, _ = untrained_caption_args(tmp_path)
+        doc = json.loads(bad.read_text())
+        doc["model_config"]["visual_dim"] = "@"
+        put_literal(bad, doc)
+        args = ["eval", "--checkpoint", str(bad), "--test", str(data_dir / "records.jsonl"),
+                "--glove", str(data_dir / "glove.txt")]
+    else:
+        main(synth_args(data_dir))
+        spec = write_runspec(config, data_dir, tmp_path / "run")
+        if target == "records":
+            bad = data_dir / "records.jsonl"
+            doc = json.loads(bad.read_text().splitlines()[0])
+            doc["objects"][0]["feature"][0] = "@"
+            put_literal(bad, doc)
+        else:
+            bad = config
+            put_literal(config, dict(spec, **{target: "@"}))
+        args = ["train", "--config", str(config)]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err, err
+    if target == "records":
+        assert "line 1" in err, err
 
 
 def test_eval_bad_glove_exits_1_naming_the_file(tmp_path):

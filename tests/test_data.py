@@ -39,7 +39,7 @@ def make_record(rec_id="r1", labels=("cat",), captions=None):
         objects.append(
             ObjectInstance(
                 label=label,
-                feature=[0.1 * k, 0.2, 0.3],
+                feature=np.array([0.1 * k, 0.2, 0.3]),
                 bbox=bbox,
                 distance=bbox_center_distance(bbox),
             )
@@ -136,13 +136,36 @@ def test_round_trip_bit_exact(tmp_path):
         assert a.id == b.id and a.num_objects == b.num_objects and a.captions == b.captions
         for oa, ob in zip(a.objects, b.objects):
             assert oa.label == ob.label
-            assert oa.feature == ob.feature
+            assert np.array_equal(oa.feature, ob.feature)
             assert oa.bbox == ob.bbox
             assert oa.distance == ob.distance
     # a second write is byte-identical
     p2 = tmp_path / "records2.jsonl"
     write_records(p2, loaded)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_load_records_features_are_float64_arrays(tmp_path):
+    doc = record_doc()
+    doc["objects"][0]["feature"] = [1, -2.5, 1e-300]  # an int among the floats
+    p = tmp_path / "records.jsonl"
+    p.write_text(json.dumps(doc) + "\n")
+    (rec,) = load_records(p)
+    for obj, written in zip(rec.objects, doc["objects"]):
+        assert isinstance(obj.feature, np.ndarray) and obj.feature.dtype == np.float64
+        assert obj.feature.ndim == 1 and obj.feature.flags.c_contiguous
+        assert obj.feature.tolist() == written["feature"]
+    assert type(rec.objects[0].feature.tolist()[0]) is float
+
+
+def test_object_instance_equality():
+    a, b = make_record(labels=("cat", "dog")), make_record(labels=("cat", "dog"))
+    assert a == b and a.objects[1] == b.objects[1]
+    b.objects[1].feature[2] = 0.30000000000000004
+    assert a != b and a.objects[1] != b.objects[1]
+    assert a.objects[0] == b.objects[0]
+    for other in (None, 3, a.objects[0].feature, [a.objects[0]]):
+        assert (a.objects[0] == other) is False and (a.objects[0] != other) is True
 
 
 def test_load_records_empty_file(tmp_path):
@@ -167,7 +190,7 @@ def test_validate_caption_count():
 
 def test_validate_feature_length_mismatch():
     rec = make_record(labels=("cat", "dog"))
-    rec.objects[1].feature = [1.0, 2.0]
+    rec.objects[1].feature = np.array([1.0, 2.0])
     with pytest.raises(ValidationError) as e:
         validate_record(rec)
     assert "feature" in str(e.value)
@@ -198,12 +221,12 @@ def test_load_records_reports_line_numbers(tmp_path):
     for rec in (good,):
         lines.append(json.dumps({
             "id": rec.id, "num_objects": rec.num_objects,
-            "objects": [{"label": o.label, "feature": o.feature, "bbox": list(o.bbox), "distance": o.distance} for o in rec.objects],
+            "objects": [{"label": o.label, "feature": o.feature.tolist(), "bbox": list(o.bbox), "distance": o.distance} for o in rec.objects],
             "captions": rec.captions,
         }))
     lines.append(json.dumps({
         "id": bad.id, "num_objects": bad.num_objects,
-        "objects": [{"label": o.label, "feature": o.feature, "bbox": list(o.bbox), "distance": o.distance} for o in bad.objects],
+        "objects": [{"label": o.label, "feature": o.feature.tolist(), "bbox": list(o.bbox), "distance": o.distance} for o in bad.objects],
         "captions": bad.captions,
     }))
     p.write_text("\n".join(lines) + "\n")
@@ -224,7 +247,7 @@ def record_doc(rec_id="r9"):
     rec = make_record(rec_id=rec_id, labels=("cat", "dog"))
     return json.loads(json.dumps({
         "id": rec.id, "num_objects": rec.num_objects,
-        "objects": [{"label": o.label, "feature": o.feature, "bbox": list(o.bbox), "distance": o.distance}
+        "objects": [{"label": o.label, "feature": o.feature.tolist(), "bbox": list(o.bbox), "distance": o.distance}
                     for o in rec.objects],
         "captions": rec.captions,
     }))
@@ -427,7 +450,7 @@ def test_synth_deterministic():
     for ra, rb in zip(a, b):
         assert ra.id == rb.id and ra.captions == rb.captions
         for oa, ob in zip(ra.objects, rb.objects):
-            assert oa.feature == ob.feature and oa.bbox == ob.bbox
+            assert np.array_equal(oa.feature, ob.feature) and oa.bbox == ob.bbox
     for w in ga.vectors:
         assert np.array_equal(ga.vectors[w], gb.vectors[w])
 

@@ -415,6 +415,15 @@ def test_example_from_record():
     assert np.allclose(ex1.visual, feats.mean(axis=0))
 
 
+def test_example_from_record_hands_on_the_records_own_features():
+    records, _ = synth_corpus(seed=2, n_images=4, n_labels=3, visual_dim=5, glove_dim=2)
+    vocab = build_vocab(records)
+    ex = example_from_record(records[0], vocab, tiny_config("m3", vocab_size=len(vocab), max_caption_len=16))
+    assert len(ex.objects) == len(records[0].objects)
+    for (feature, label, distance), obj in zip(ex.objects, records[0].objects):
+        assert feature is obj.feature and (label, distance) == (obj.label, obj.distance)
+
+
 # --- greedy decoding ---
 
 
@@ -441,12 +450,18 @@ def test_greedy_tie_breaks_to_lowest_index():
     assert out == [0] * model.config.max_caption_len
 
 
+def step_one(model, encoding, state, token):
+    """decode_step on one row fed the one id ``token``: (its logits row, next state)."""
+    logits, state = decode_step(model, encoding, state, np.array([token]))
+    return logits[0], state
+
+
 def reference_greedy(model, encoding):
     """Per-image greedy decoding one decode_step at a time, argmax of each
     logits row taking the lowest index among equal maxima."""
     state, token, out = _init_state(model), START, []
     for _ in range(model.config.max_caption_len):
-        logits, state = decode_step(model, encoding, state, token)
+        logits, state = step_one(model, encoding, state, token)
         token = int(np.argmax(logits))
         if token == END:
             break
@@ -490,9 +505,9 @@ def test_decode_step_one_id_gives_a_row_and_ids_give_a_matrix():
     stacked, _ = decode_step(model, concat(encodings, axis=0), _init_state(model, 3), np.array([START] * 3))
     assert stacked.shape == (3, model.config.vocab_size)
     for r, enc in enumerate(encodings):
-        row, _ = decode_step(model, enc, _init_state(model), START)
-        assert row.shape == (model.config.vocab_size,)
-        assert np.allclose(stacked[r], row, rtol=0.0, atol=1e-12)
+        row, _ = decode_step(model, enc, _init_state(model), np.array([START]))
+        assert row.shape == (1, model.config.vocab_size)
+        assert np.allclose(stacked[r], row[0], rtol=0.0, atol=1e-12)
 
 
 def test_decode_greedy_takes_one_image():
@@ -510,7 +525,7 @@ def enumerate_best(model, encoding, max_len):
     results = []
 
     def walk(state, prev_tok, tokens, lp_sum, depth):
-        logits, new_state = decode_step(model, encoding, state, prev_tok)
+        logits, new_state = step_one(model, encoding, state, prev_tok)
         lps = _log_softmax_row(logits)
         for tok in range(model.config.vocab_size):
             lp = lp_sum + float(lps[tok])
@@ -576,12 +591,12 @@ def sequence_score(model, encoding, tokens, max_len=None):
     prev = START
     total = 0.0
     for tok in tokens:
-        logits, state = decode_step(model, encoding, state, prev)
+        logits, state = step_one(model, encoding, state, prev)
         total = total + float(_log_softmax_row(logits)[tok])
         prev = tok
     emitted = len(tokens)
     if len(tokens) < max_len:
-        logits, state = decode_step(model, encoding, state, prev)
+        logits, state = step_one(model, encoding, state, prev)
         total = total + float(_log_softmax_row(logits)[END])
         emitted += 1
     return total / emitted
@@ -592,7 +607,7 @@ def reference_beam(model, encoding, width, max_len=None):
     sorted by (-score, emitted); greedy fallback re-scored by sequence_score."""
     if max_len is None:
         max_len = model.config.max_caption_len
-    logits, state = decode_step(model, encoding, _init_state(model), START)
+    logits, state = step_one(model, encoding, _init_state(model), START)
     alive = [((), 0.0, state, _log_softmax_row(logits))]
     finished = []
     for it in range(max_len):
@@ -620,7 +635,7 @@ def reference_beam(model, encoding, width, max_len=None):
             if last:
                 finished.append((norm, emitted))
             else:
-                logits, new_state = decode_step(model, encoding, parent_state, tok)
+                logits, new_state = step_one(model, encoding, parent_state, tok)
                 alive.append((emitted, lp, new_state, _log_softmax_row(logits)))
     best_norm, best_emitted = min(finished, key=lambda entry: (-entry[0], entry[1]))
     greedy = decode_greedy(model, encoding, max_len)
