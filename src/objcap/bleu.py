@@ -16,18 +16,6 @@ def closest_ref_length(hyp_len: int, references) -> int:
     return min((len(r) for r in references), key=lambda rl: (abs(rl - hyp_len), rl))
 
 
-def _check_weights(max_n, weights):
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    if weights is None:
-        weights = [1.0 / max_n] * max_n
-    if len(weights) != max_n:
-        raise ValueError(f"need {max_n} weights, got {len(weights)}")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {sum(weights)}")
-    return weights
-
-
 def _pair_stats(hypothesis, references, max_n):
     """Per-pair clipped/total n-gram counts plus length bookkeeping."""
     if not references:
@@ -54,11 +42,14 @@ def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
     return 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
 
 
-def _score(clipped, totals, hyp_len, ref_len, weights) -> float:
+def _score(clipped, totals, hyp_len, ref_len) -> float:
+    """The brevity penalty times the geometric mean of the precisions, each
+    order weighted 1 / max_n."""
     if hyp_len == 0:
         return 0.0
+    w = 1.0 / len(clipped)
     log_sum = 0.0
-    for w, num, den in zip(weights, clipped, totals):
+    for num, den in zip(clipped, totals):
         if den == 0:
             # no hypothesis n-grams of this order exist anywhere; the
             # precision is undefined, not zero, so it carries no evidence
@@ -67,12 +58,6 @@ def _score(clipped, totals, hyp_len, ref_len, weights) -> float:
             return 0.0
         log_sum += w * math.log(num / den)
     return _brevity_penalty(hyp_len, ref_len) * math.exp(log_sum)
-
-
-def sentence_bleu(hypothesis, references, max_n: int = 4, weights=None) -> float:
-    weights = _check_weights(max_n, weights)
-    clipped, totals, c, r = _pair_stats(hypothesis, references, max_n)
-    return _score(clipped, totals, c, r, weights)
 
 
 def corpus_stats(pairs, max_n: int = 4):
@@ -111,12 +96,11 @@ class CorpusBleu:
     ref_length: int
 
 
-def corpus_bleu_parts(pairs, max_n: int = 4, weights=None) -> CorpusBleu:
+def corpus_bleu_parts(pairs, max_n: int = 4) -> CorpusBleu:
     """Corpus BLEU and its parts, from one corpus_stats pass."""
-    weights = _check_weights(max_n, weights)
     clipped, totals, hyp_len, ref_len = corpus_stats(pairs, max_n)
     return CorpusBleu(
-        score=_score(clipped, totals, hyp_len, ref_len, weights),
+        score=_score(clipped, totals, hyp_len, ref_len),
         precisions=[(c / t) if t else 0.0 for c, t in zip(clipped, totals)],
         brevity_penalty=_brevity_penalty(hyp_len, ref_len),
         hyp_length=hyp_len,
@@ -124,5 +108,10 @@ def corpus_bleu_parts(pairs, max_n: int = 4, weights=None) -> CorpusBleu:
     )
 
 
-def corpus_bleu(pairs, max_n: int = 4, weights=None) -> float:
-    return corpus_bleu_parts(pairs, max_n, weights).score
+def corpus_bleu(pairs, max_n: int = 4) -> float:
+    return corpus_bleu_parts(pairs, max_n).score
+
+
+def sentence_bleu(hypothesis, references, max_n: int = 4) -> float:
+    """BLEU of one pair: corpus BLEU over a corpus of that one pair."""
+    return corpus_bleu([(hypothesis, references)], max_n)

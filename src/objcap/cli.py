@@ -79,6 +79,9 @@ def load_runspec(path) -> dict:
     for _, key, f in _config_fields():
         if key in doc and not _fits(doc[key], f.type):
             raise ValidationError(f"{path}: run config key {key!r} must be {f.type}, got {doc[key]!r}")
+    for key in ("split_seed", "model_seed", "train_seed"):
+        if doc.get(key, 0) < 0:  # numpy's generators take only non-negative seeds
+            raise ValidationError(f"{path}: run config key {key!r} must be >= 0, got {doc[key]}")
     spec = dict(_RUNSPEC_DEFAULTS)
     spec.update(doc)
     base = Path(path).resolve().parent
@@ -120,13 +123,18 @@ def _cmd_train(args) -> int:
     records = load_records(spec["records"])
     glove = load_glove(spec["glove"]) if spec["glove"] else None
     train_set, val_set, test_set = split_dataset(records, seed=spec["split_seed"])
-    vocab = build_vocab(train_set, min_count=spec["min_count"])
     try:
+        vocab = build_vocab(train_set, min_count=spec["min_count"])
         config = ModelConfig(vocab_size=len(vocab), **_config_args(spec, ModelConfig))
         model = build(config, glove=glove if config.variant == "m3" else None)
         train_config = TrainConfig(**_config_args(spec, TrainConfig))
     except (ValidationError, MemoryError, OverflowError) as e:  # a bad or too large setting
         raise ValidationError(f"{args.config}: {e}") from None
+    try:  # every record, so none fails after training has begun
+        for rec in records:
+            example_from_record(rec, vocab, config)
+    except ValidationError as e:  # a record that does not fit the model
+        raise ValidationError(f"{spec['records']}: {e}") from None
     history = train(model, train_set, val_set, train_config, vocab)
     out_dir = Path(spec["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

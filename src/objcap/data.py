@@ -142,15 +142,16 @@ def validate_record(rec: ImageRecord, where: str = "") -> None:
 
 _RECORD_FIELDS = {"id", "num_objects", "objects", "captions"}
 _OBJECT_FIELDS = {"label", "feature", "bbox", "distance"}
+_NUMBER_TYPES = frozenset((int, float))  # as json parses numbers; bool is a type of its own
 
 
 def _floats(values, ctx: str, what: str) -> np.ndarray:
-    """A JSON array of numbers, as a 1-D float64 array; a null reads as NaN,
-    which ``validate_record`` rejects."""
-    if isinstance(values, list):
+    """A JSON array of numbers, as a 1-D float64 array. A boolean, string or
+    null entry is rejected, not converted."""
+    if isinstance(values, list) and _NUMBER_TYPES.issuperset(map(type, values)):
         try:
             return np.fromiter(values, np.float64, len(values))
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond float range
+        except OverflowError:  # an integer beyond float range
             pass
     raise ValidationError(f"{ctx}: {what}: expected a list of numbers, got {values!r:.60}")
 
@@ -379,20 +380,22 @@ def write_glove(path, table: GloveTable) -> None:
 # splits
 
 
-def split_dataset(records, seed: int, ratio=(12, 6, 1)):
-    """Deterministic shuffle and partition into (train, val, test).
+# The train/val/test ratio of split_dataset: a 12000/6000/1000 split, scaled to the corpus.
+SPLIT_RATIO = (12, 6, 1)
 
-    The default ratio mirrors a 12000/6000/1000 split, scaled to the corpus.
-    Every part gets at least one record.
+
+def split_dataset(records, seed: int):
+    """Deterministic shuffle and partition into (train, val, test) in
+    SPLIT_RATIO. Every part gets at least one record.
     """
     n = len(records)
     if n < 3:
         raise ValidationError(f"need at least 3 records to split, got {n}")
-    total = sum(ratio)
-    n_train = max(1, n * ratio[0] // total)
-    n_val = max(1, n * ratio[1] // total)
+    total = sum(SPLIT_RATIO)
+    n_train = max(1, n * SPLIT_RATIO[0] // total)
+    n_val = max(1, n * SPLIT_RATIO[1] // total)
     if n_train + n_val >= n:
-        raise ValidationError(f"ratio {ratio} leaves no test records for corpus of {n}")
+        raise ValidationError(f"ratio {SPLIT_RATIO} leaves no test records for corpus of {n}")
     order = np.random.default_rng(seed).permutation(n)
     shuffled = [records[i] for i in order]
     train = shuffled[:n_train]

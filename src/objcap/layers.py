@@ -37,10 +37,6 @@ class DenseParams:
     def in_dim(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[1]
-
 
 def dense_init(in_dim: int, out_dim: int, rng: np.random.Generator) -> DenseParams:
     return DenseParams(
@@ -112,15 +108,11 @@ def lstm_step(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, T
     return h2, c2
 
 
-def lstm_unroll(
-    p: LstmParams, inputs: list[Tensor], h0: Tensor | None = None, c0: Tensor | None = None
-) -> list[Tensor]:
-    """Left-to-right unroll; returns the hidden state at every step."""
+def lstm_unroll(p: LstmParams, inputs: list[Tensor]) -> list[Tensor]:
+    """Left-to-right unroll from a zero state; returns the hidden state at every step."""
     if not inputs:
         raise ValueError("lstm_unroll: empty input sequence")
-    rows = inputs[0].shape[0]
-    h = h0 if h0 is not None else zeros((rows, p.hidden_size))
-    c = c0 if c0 is not None else zeros((rows, p.hidden_size))
+    h = c = zeros((inputs[0].shape[0], p.hidden_size))
     states = []
     for x in inputs:
         h, c = lstm_step(p, x, h, c)
@@ -142,14 +134,6 @@ def bilstm(p_fwd: LstmParams, p_bwd: LstmParams, inputs: list[Tensor]) -> list[T
 @dataclass
 class EmbeddingTable:
     table: Tensor  # (vocab_size, embed_dim)
-
-    @property
-    def vocab_size(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.table.shape[1]
 
 
 def embedding_init(vocab_size: int, embed_dim: int, rng: np.random.Generator) -> EmbeddingTable:

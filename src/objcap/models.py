@@ -43,6 +43,10 @@ VARIANTS = ("m1", "m2", "m3")
 
 _DEFAULT_DECODER_HIDDEN = {"m1": 1000, "m2": 256, "m3": 256}
 
+# encode_caption pads every caption to max_caption_len ids; captions run to
+# tens of tokens, so a longer bound only spends memory (and 10**400 overflows).
+MAX_CAPTION_LEN = 10_000
+
 
 @dataclass
 class ModelConfig:
@@ -76,8 +80,10 @@ class ModelConfig:
                 raise ValidationError(f"{name} must be positive, got {value}")
         if self.vocab_size < 3:
             raise ValidationError("vocab_size must cover the start/end markers (>= 3)")
-        if self.max_caption_len < 2:
-            raise ValidationError(f"max_caption_len must be >= 2, got {self.max_caption_len}")
+        if not 2 <= self.max_caption_len <= MAX_CAPTION_LEN:
+            raise ValidationError(f"max_caption_len must be in [2, {MAX_CAPTION_LEN}], got {self.max_caption_len}")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.variant == "m3":
             if not self.label_embed_dim or self.label_embed_dim < 1:
                 raise ValidationError("m3 requires a positive label_embed_dim")
@@ -186,6 +192,10 @@ def example_from_record(
     if any(o.feature.shape != (config.visual_dim,) for o in record.objects):
         raise ValidationError(
             f"record {record.id!r}: feature length != visual_dim {config.visual_dim}"
+        )
+    if config.variant == "m3" and len(record.objects) > config.max_objects:
+        raise ValidationError(
+            f"record {record.id!r}: {len(record.objects)} objects, max_objects is {config.max_objects}"
         )
     if config.variant == "m3":
         objects = [(o.feature, o.label, o.distance) for o in record.objects]
@@ -344,9 +354,10 @@ def decode_step(model: Model, encoding: Tensor, state: _DecodeState, tokens: np.
     return logits, _DecodeState(h_lang, c_lang, h_dec, c_dec)
 
 
-def _log_softmax_row(logits: np.ndarray) -> np.ndarray:
-    m = logits.max()
-    return logits - (m + np.log(np.exp(logits - m).sum()))
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis: one row, or each row of a matrix."""
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
 
 
 def _greedy_walk(model: Model, encodings: Tensor, max_len: int):
@@ -412,7 +423,7 @@ def _scored_greedy(model: Model, encoding: Tensor, max_len: int) -> tuple[float,
     for _, logits, picked in _greedy_walk(model, encoding, max_len):
         tok = picked[0]
         emitted.append(tok)
-        total = total + float(_log_softmax_row(logits[0])[tok])
+        total = total + float(_log_softmax(logits[0])[tok])
     return total / len(emitted), tuple(emitted)
 
 
@@ -432,6 +443,11 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
     key ``(-score, emitted)``, so the ``width`` kept are exactly those of a
     sort over every candidate.
 
+    The live hypotheses are the rows of one batch, stepped by one
+    ``decode_step`` from one row fed <start>: at width 1 the greedy walk's
+    products; wider, a stacked row can differ from a one-row product by
+    ~1e-15, so a near-tie may keep another hypothesis than one-row steps.
+
     The greedy sequence competes as a fallback, so the returned hypothesis
     never scores below it. It is scored like any finished hypothesis, the
     length-normalized log-probability with <end> counted when reached, from
@@ -444,43 +460,38 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
     if max_len < 1:
         return []
 
-    logits, state = decode_step(model, encoding, _init_state(model), np.array([START]))
-    # alive: (content tokens, summed logprob, state, next-token logprobs)
-    alive = [((), 0.0, state, _log_softmax_row(logits[0]))]
+    # per live row: emitted tokens, parent row in ``state``, next token, summed logprob
+    emitted: list[tuple[int, ...]] = [()]
+    state, rows, tokens, sums = _init_state(model), [0], np.array([START]), np.zeros(1)
     finished: list[tuple[float, tuple[int, ...]]] = []  # (normalized score, emitted)
 
     for it in range(max_len):
-        if not alive:
-            break
-        last = it == max_len - 1
-        sums = np.array([hyp[1] for hyp in alive])[:, None] + np.stack([hyp[3] for hyp in alive])
-        norms = sums / (it + 1)
+        encodings = Tensor(np.repeat(encoding.data, len(rows), axis=0))
+        logits, state = decode_step(model, encodings, state.take(rows), tokens)
+        cand_sums = sums[:, None] + _log_softmax(logits)
+        norms = cand_sums / (it + 1)
         scores = np.concatenate([norms.ravel(), [norm for norm, _ in finished]])
         cut = -np.inf
         if width < scores.size:
             cut = np.partition(scores, scores.size - width)[scores.size - width]
-        pool: list[tuple[float, tuple[int, ...], tuple | None]] = [
-            (norm, emitted, None) for norm, emitted in finished if norm >= cut
+        # (normalized score, emitted, the live row it extends or None once finished)
+        pool: list[tuple[float, tuple[int, ...], int | None]] = [
+            (norm, done, None) for norm, done in finished if norm >= cut
         ]
         for row, tok in zip(*np.nonzero(norms >= cut)):
             row, tok = int(row), int(tok)
-            emitted = alive[row][0] + (tok,)
-            cand = None if tok == END else (float(sums[row, tok]), alive[row][2], tok)
-            pool.append((float(norms[row, tok]), emitted, cand))
+            pool.append((float(norms[row, tok]), emitted[row] + (tok,), None if tok == END else row))
         pool.sort(key=lambda entry: (-entry[0], entry[1]))
         kept = pool[:width]
-        finished = [(norm, emitted) for norm, emitted, cand in kept if cand is None]
-        alive = []
-        for norm, emitted, cand in kept:
-            if cand is None:
-                continue
-            lp, parent_state, tok = cand
-            if last:
-                # loop is over; this hypothesis is terminal by cutoff
-                finished.append((norm, emitted))
-            else:
-                logits, new_state = decode_step(model, encoding, parent_state, np.array([tok]))
-                alive.append((emitted, lp, new_state, _log_softmax_row(logits[0])))
+        # after the last step every kept hypothesis is terminal by cutoff
+        last = it == max_len - 1
+        finished = [(norm, done) for norm, done, row in kept if row is None or last]
+        live = [(done, row) for _, done, row in kept if row is not None and not last]
+        if not live:
+            break
+        emitted, rows = [done for done, _ in live], [row for _, row in live]
+        tokens = np.array([done[-1] for done in emitted])
+        sums = cand_sums[rows, tokens]
 
     finished.append(_scored_greedy(model, encoding, max_len))
     _, best_emitted = min(finished, key=lambda entry: (-entry[0], entry[1]))

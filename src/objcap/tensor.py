@@ -93,10 +93,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() requires a one-element tensor, got shape {self.shape}")
@@ -247,8 +243,8 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor._wrap(np.zeros(shape, dtype=np.float64), requires_grad)
 
 
-def glorot_uniform(shape, rng: np.random.Generator, requires_grad: bool = True) -> Tensor:
-    """Uniform(-b, b) with b = sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(shape, rng: np.random.Generator) -> Tensor:
+    """A trainable Uniform(-b, b) tensor with b = sqrt(6 / (fan_in + fan_out))."""
     dims = tuple(int(d) for d in shape)
     if len(dims) == 2:
         fan_in, fan_out = dims
@@ -256,7 +252,7 @@ def glorot_uniform(shape, rng: np.random.Generator, requires_grad: bool = True) 
         fan_in = fan_out = int(np.prod(dims))
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     data = rng.uniform(-bound, bound, size=dims)
-    return Tensor._wrap(np.ascontiguousarray(data), requires_grad)
+    return Tensor._wrap(np.ascontiguousarray(data), True)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +382,10 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice along one axis; backward adds into the sliced positions."""
+    """Contiguous slice along one axis; backward adds into the sliced positions.
+
+    A slice that is already C-contiguous (rows of a matrix, any slice of a
+    one-row matrix) is a view of ``x.data``; any other is copied."""
     ndim = x.data.ndim
     if not (0 <= axis < ndim):
         raise ValueError(f"slice_axis: axis {axis} out of range for shape {x.shape}")
@@ -399,7 +398,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def bw(g: np.ndarray):
         return (_Slice(idx, g),)
 
-    return _record((x,), x.data[idx].copy(), bw)
+    return _record((x,), np.ascontiguousarray(x.data[idx]), bw)
 
 
 def take_row(table: Tensor, index) -> Tensor:

@@ -29,6 +29,9 @@ DECODE_BLOCK = 64
 # two scratch blocks (128 KiB each) stay in cache.
 _ADAM_BLOCK = 16384
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -46,6 +49,8 @@ class TrainConfig:
             raise ValidationError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         clip = self.grad_clip_norm
@@ -88,10 +93,9 @@ class Adam:
     place, block by block, through two preallocated scratch blocks: the
     textbook formula's ufuncs in its order, so the result is bit-identical."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {name: np.zeros(p.shape) for name, p in params.items()}
         self.v = {name: np.zeros(p.shape) for name, p in params.items()}
         self.t = 0
@@ -99,7 +103,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = _ADAM_BETA1, _ADAM_BETA2, self.lr, _ADAM_EPS
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for name, p in self.params.items():
@@ -169,10 +173,10 @@ def _decode_pairs(model: Model, records: list[ImageRecord], vocab: Vocabulary):
     ]
 
 
-def validation_bleu(model: Model, records: list[ImageRecord], vocab: Vocabulary, max_n: int = 4) -> float:
+def validation_bleu(model: Model, records: list[ImageRecord], vocab: Vocabulary) -> float:
     if not records:
         return float("nan")
-    return corpus_bleu(_decode_pairs(model, records, vocab), max_n=max_n)
+    return corpus_bleu(_decode_pairs(model, records, vocab))
 
 
 def train(

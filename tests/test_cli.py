@@ -525,6 +525,33 @@ def test_train_unallocatable_dimensions_exit_1_naming_the_config(tmp_path, capsy
     assert str(config) in err and "allocate" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_caption_len", 10**400), ("split_seed", -1), ("model_seed", -1), ("train_seed", -1), ("min_count", 0),
+], ids=["max_caption_len", "split_seed", "model_seed", "train_seed", "min_count"])
+def test_train_out_of_range_values_exit_1_naming_the_config(tmp_path, capsys, key, value):
+    data_dir = tmp_path / "data"
+    main(synth_args(data_dir))
+    config = tmp_path / "run.json"
+    write_runspec(config, data_dir, tmp_path / "run", **{key: value})
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"max_objects": 1}, "max_objects is 1"), ({"visual_dim": 12}, "visual_dim 12"),
+])
+def test_train_records_that_do_not_fit_the_model_name_file_and_record(tmp_path, capsys, override, message):
+    data_dir = tmp_path / "data"
+    main(synth_args(data_dir))
+    config = tmp_path / "run.json"
+    write_runspec(config, data_dir, tmp_path / "run", **override)
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(data_dir / "records.jsonl") in err and "record 'img" in err and message in err
+    assert not (tmp_path / "run").exists()  # it failed before training
+
+
 def test_module_entry_point(tmp_path):
     hyp = tmp_path / "h.txt"
     hyp.write_text("a b\n")

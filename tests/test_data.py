@@ -315,6 +315,18 @@ def test_load_records_rejects_non_numeric_values(tmp_path):
         assert "r9" in message and f"object 0 {field}" in message
 
 
+@pytest.mark.parametrize("value", [True, False, "2"])
+@pytest.mark.parametrize("field", ["feature", "bbox", "distance"])
+def test_load_records_rejects_booleans_and_numeric_strings(tmp_path, field, value):
+    doc = record_doc()
+    if field == "distance":
+        doc["objects"][0]["distance"] = value
+    else:
+        doc["objects"][0][field][1] = value
+    message = load_second_line(tmp_path, json.dumps(doc))
+    assert "r9" in message and f"object 0 {field}" in message and "expected a list of numbers" in message
+
+
 def test_validate_rejects_non_finite_bbox_and_distance():
     rec = make_record()
     rec.objects[0].distance = float("nan")

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from objcap import models
 from objcap.data import END, START, GloveTable, ValidationError
 from objcap.models import (
+    MAX_CAPTION_LEN,
     CaptionExample,
     ModelConfig,
     build,
@@ -18,7 +20,7 @@ from objcap.models import (
     forward_teacher_forced,
     fuse_objects,
     _init_state,
-    _log_softmax_row,
+    _log_softmax,
     _scored_greedy,
 )
 from objcap.layers import bilstm, embed, lstm_unroll, vocab_head
@@ -111,6 +113,15 @@ def test_config_validation():
         ModelConfig(variant="m3", visual_dim=4, vocab_size=8, max_caption_len=8)  # no label dims
     with pytest.raises(ValidationError):
         ModelConfig(variant="m1", visual_dim=4, vocab_size=2, max_caption_len=8)
+
+
+def test_config_bounds_caption_length_and_seed():
+    base = dict(variant="m1", visual_dim=4, vocab_size=8)
+    assert ModelConfig(**base, max_caption_len=MAX_CAPTION_LEN).max_caption_len == MAX_CAPTION_LEN
+    for bad in (dict(max_caption_len=MAX_CAPTION_LEN + 1), dict(max_caption_len=10**400),
+                dict(max_caption_len=8, rng_seed=-1)):
+        with pytest.raises(ValidationError):
+            ModelConfig(**base, **bad)
 
 
 def test_build_deterministic_bytes():
@@ -526,7 +537,7 @@ def enumerate_best(model, encoding, max_len):
 
     def walk(state, prev_tok, tokens, lp_sum, depth):
         logits, new_state = step_one(model, encoding, state, prev_tok)
-        lps = _log_softmax_row(logits)
+        lps = _log_softmax(logits)
         for tok in range(model.config.vocab_size):
             lp = lp_sum + float(lps[tok])
             emitted = tokens + (tok,)
@@ -561,6 +572,23 @@ def test_beam_width_one_equals_greedy():
         assert decode_beam(model, enc, width=1) == decode_greedy(model, enc)
 
 
+def test_beam_makes_one_decode_step_per_step(monkeypatch):
+    """The live hypotheses step as one batch: with <end> pushed down every
+    hypothesis runs to max_len, so the beam makes max_len steps of up to
+    width rows, and the greedy fallback max_len more of one row."""
+    model = tiny_model("m3", seed=1)
+    model.head.bias.data[END] -= 1e6
+    rows = []
+
+    def counted(model, encoding, state, tokens):
+        rows.append(len(tokens))
+        return decode_step(model, encoding, state, tokens)
+
+    monkeypatch.setattr(models, "decode_step", counted)
+    assert len(decode_beam(model, random_encoding(model, 0), width=3, max_len=8)) == 8
+    assert rows == [1] + [3] * 7 + [1] * 8
+
+
 def test_beam_matches_exhaustive_enumeration():
     for seed in range(6):
         variant = ("m1", "m2", "m3")[seed % 3]
@@ -592,12 +620,12 @@ def sequence_score(model, encoding, tokens, max_len=None):
     total = 0.0
     for tok in tokens:
         logits, state = step_one(model, encoding, state, prev)
-        total = total + float(_log_softmax_row(logits)[tok])
+        total = total + float(_log_softmax(logits)[tok])
         prev = tok
     emitted = len(tokens)
     if len(tokens) < max_len:
         logits, state = step_one(model, encoding, state, prev)
-        total = total + float(_log_softmax_row(logits)[END])
+        total = total + float(_log_softmax(logits)[END])
         emitted += 1
     return total / emitted
 
@@ -608,7 +636,7 @@ def reference_beam(model, encoding, width, max_len=None):
     if max_len is None:
         max_len = model.config.max_caption_len
     logits, state = step_one(model, encoding, _init_state(model), START)
-    alive = [((), 0.0, state, _log_softmax_row(logits))]
+    alive = [((), 0.0, state, _log_softmax(logits))]
     finished = []
     for it in range(max_len):
         if not alive:
@@ -636,7 +664,7 @@ def reference_beam(model, encoding, width, max_len=None):
                 finished.append((norm, emitted))
             else:
                 logits, new_state = step_one(model, encoding, parent_state, tok)
-                alive.append((emitted, lp, new_state, _log_softmax_row(logits)))
+                alive.append((emitted, lp, new_state, _log_softmax(logits)))
     best_norm, best_emitted = min(finished, key=lambda entry: (-entry[0], entry[1]))
     greedy = decode_greedy(model, encoding, max_len)
     greedy_norm = sequence_score(model, encoding, greedy, max_len)

@@ -91,6 +91,16 @@ def test_concat_then_split_is_identity():
         assert np.array_equal(back_b.data, b.data)
 
 
+def test_slice_axis_copies_only_what_is_not_contiguous():
+    m = Tensor(np.arange(12.0).reshape(3, 4))
+    one_row = Tensor(np.arange(8.0).reshape(1, 8))
+    assert np.shares_memory(slice_axis(m, 0, 1, 3).data, m.data)
+    assert np.shares_memory(slice_axis(one_row, 1, 2, 6).data, one_row.data)
+    cols = slice_axis(m, 1, 1, 3)
+    assert not np.shares_memory(cols.data, m.data) and cols.data.flags.c_contiguous
+    assert np.array_equal(cols.data, m.data[:, 1:3])
+
+
 def test_elementwise_values():
     assert sigmoid(Tensor([0.0])).data[0] == 0.5
     assert tanh(Tensor([0.0])).data[0] == 0.0

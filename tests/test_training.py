@@ -64,6 +64,12 @@ def test_train_config_validation():
         TrainConfig(epochs=1, grad_clip_norm=0.0)
 
 
+def test_train_config_rejects_a_negative_seed():
+    assert TrainConfig(epochs=1, rng_seed=0).rng_seed == 0
+    with pytest.raises(ValidationError, match="rng_seed"):
+        TrainConfig(epochs=1, rng_seed=-1)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_learning_rate_rejected(value):
     # a NaN step would turn every weight to NaN before the loss guard fires
