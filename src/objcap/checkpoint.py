@@ -137,7 +137,7 @@ def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocab
         raise CheckpointError(f"{path}: checkpoint has no params object")
     try:
         model = build(config, glove=glove if config.variant == "m3" else None)
-    except (ValidationError, MemoryError, OverflowError) as e:  # GLOVE dimension, sizes too large
+    except (ValueError, MemoryError, OverflowError) as e:  # GLOVE dimension, sizes too large
         raise CheckpointError(f"{path}: cannot build the saved model: {e}") from None
     if set(saved) != set(model.params):
         raise CheckpointError(

@@ -128,7 +128,7 @@ def _cmd_train(args) -> int:
         config = ModelConfig(vocab_size=len(vocab), **_config_args(spec, ModelConfig))
         model = build(config, glove=glove if config.variant == "m3" else None)
         train_config = TrainConfig(**_config_args(spec, TrainConfig))
-    except (ValidationError, MemoryError, OverflowError) as e:  # a bad or too large setting
+    except (ValueError, MemoryError, OverflowError) as e:  # a bad or too large setting
         raise ValidationError(f"{args.config}: {e}") from None
     try:  # every record, so none fails after training has begun
         for rec in records:

@@ -156,6 +156,16 @@ def _floats(values, ctx: str, what: str) -> np.ndarray:
     raise ValidationError(f"{ctx}: {what}: expected a list of numbers, got {values!r:.60}")
 
 
+def _number(value, ctx: str, what: str) -> float:
+    """A JSON number as a float, rejected like an entry of ``_floats``."""
+    if type(value) in _NUMBER_TYPES:
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise ValidationError(f"{ctx}: {what}: expected a number, got {value!r:.60}")
+
+
 def _record_from_json(doc, where: str) -> ImageRecord:
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: a record must be a JSON object, got {type(doc).__name__}")
@@ -183,7 +193,7 @@ def _record_from_json(doc, where: str) -> ImageRecord:
                 label=str(o["label"]),
                 feature=_floats(o["feature"], ctx, f"object {k} feature"),
                 bbox=tuple(_floats(o["bbox"], ctx, f"object {k} bbox").tolist()),
-                distance=_floats([o["distance"]], ctx, f"object {k} distance").item(),
+                distance=_number(o["distance"], ctx, f"object {k} distance"),
             )
         )
     rec = ImageRecord(

@@ -2,7 +2,8 @@
 
 Layers operate on a batch of B rows (shape B*d), each row one independent
 example: training feeds single rows (B = 1), batched greedy decoding feeds
-one row per image. Sequences are plain Python lists of such row blocks.
+one row per image, and beam search one row per live hypothesis plus one
+for its greedy fallback. Sequences are plain Python lists of such row blocks.
 Parameters live in small dataclasses so models can collect them under
 stable names for checkpointing.
 """

@@ -360,16 +360,21 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
 
 
-def _greedy_walk(model: Model, encodings: Tensor, max_len: int):
-    """The greedy walk of B rows in lockstep from <start>.
+def decode_greedy_batch(model: Model, encodings: Tensor, max_len: int | None = None) -> list[list[int]]:
+    """Greedy captions of B images at once, one token list per row of the
+    B*encoding_dim ``encodings``; each stops at <end> or after max_len tokens.
 
-    Each step takes every row's argmax token; numpy's argmax takes the
-    first maximum, so ties break toward the lowest token index. Yields
-    ``(rows, logits, picked)`` per step: the batch indices still decoding
-    (a list), their logits (one row each) and the tokens they picked (a
-    list). A row leaves the batch after the step that picks <end>, so later
-    steps run on fewer rows.
+    Each step takes every row's argmax token; numpy's argmax takes the first
+    maximum, so ties break toward the lowest token index. A row leaves the
+    batch after the step that picks <end>, so every step is one matrix
+    product per weight over the rows still decoding. Stacked rows can
+    differ from one-row products in the last bits (~1e-15), so a near-tied
+    argmax may in principle pick differently from ``decode_greedy`` on the
+    same image.
     """
+    if max_len is None:
+        max_len = model.config.max_caption_len
+    out: list[list[int]] = [[] for _ in range(encodings.shape[0])]
     rows = list(range(encodings.shape[0]))
     state = _init_state(model, len(rows))
     tokens = np.full(len(rows), START)
@@ -377,54 +382,25 @@ def _greedy_walk(model: Model, encodings: Tensor, max_len: int):
         logits, state = decode_step(model, encodings, state, tokens)
         tokens = logits.argmax(axis=1)
         picked = tokens.tolist()
-        yield rows, logits, picked
-        if END in picked:
-            keep = [k for k, tok in enumerate(picked) if tok != END]
-            if not keep:
-                return
-            rows = [rows[k] for k in keep]
-            encodings, state, tokens = Tensor(encodings.data[keep]), state.take(keep), tokens[keep]
-
-
-def decode_greedy_batch(model: Model, encodings: Tensor, max_len: int | None = None) -> list[list[int]]:
-    """Greedy captions of B images at once, one token list per row of the
-    B*encoding_dim ``encodings``; each stops at <end> or after max_len tokens.
-
-    Every step is one matrix product per weight over the rows still
-    decoding. Stacked rows can differ from one-row products in the last
-    bits (~1e-15), so a near-tied argmax may in principle pick differently
-    from ``decode_greedy`` on the same image.
-    """
-    if max_len is None:
-        max_len = model.config.max_caption_len
-    out: list[list[int]] = [[] for _ in range(encodings.shape[0])]
-    for rows, _, picked in _greedy_walk(model, encodings, max_len):
         for row, tok in zip(rows, picked):
             if tok != END:
                 out[row].append(tok)
+        if END in picked:
+            keep = [k for k, tok in enumerate(picked) if tok != END]
+            if not keep:
+                break
+            rows = [rows[k] for k in keep]
+            encodings, state, tokens = Tensor(encodings.data[keep]), state.take(keep), tokens[keep]
     return out
 
 
 def decode_greedy(model: Model, encoding: Tensor, max_len: int | None = None) -> list[int]:
-    """Argmax decoding of one image from <start>: the greedy walk with one
-    row. Stops at <end> or after max_len tokens; ties break toward the
+    """Argmax decoding of one image from <start>: ``decode_greedy_batch``
+    with one row. Stops at <end> or after max_len tokens; ties break toward the
     lowest token index."""
     if encoding.shape[0] != 1:
         raise ValidationError(f"decode_greedy takes one image's encoding, got shape {encoding.shape}")
     return decode_greedy_batch(model, encoding, max_len)[0]
-
-
-def _scored_greedy(model: Model, encoding: Tensor, max_len: int) -> tuple[float, tuple[int, ...]]:
-    """(score, emitted sequence) of decode_greedy's output, from the logits
-    of the one greedy pass: the summed log-probability of every emitted
-    token, <end> included when it is reached, over the number emitted."""
-    emitted: list[int] = []
-    total = 0.0
-    for _, logits, picked in _greedy_walk(model, encoding, max_len):
-        tok = picked[0]
-        emitted.append(tok)
-        total = total + float(_log_softmax(logits[0])[tok])
-    return total / len(emitted), tuple(emitted)
 
 
 def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None = None) -> list[int]:
@@ -443,15 +419,16 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
     key ``(-score, emitted)``, so the ``width`` kept are exactly those of a
     sort over every candidate.
 
-    The live hypotheses are the rows of one batch, stepped by one
-    ``decode_step`` from one row fed <start>: at width 1 the greedy walk's
-    products; wider, a stacked row can differ from a one-row product by
-    ~1e-15, so a near-tie may keep another hypothesis than one-row steps.
-
     The greedy sequence competes as a fallback, so the returned hypothesis
     never scores below it. It is scored like any finished hypothesis, the
-    length-normalized log-probability with <end> counted when reached, from
-    the logits of its own single pass (``_scored_greedy``).
+    length-normalized log-probability with <end> counted when reached.
+
+    The live hypotheses and the greedy walk are the rows of one batch,
+    stepped by one ``decode_step`` from one row fed <start> that they share:
+    the greedy walk is the last row of each later step and takes its
+    logits' first maximum, as ``decode_greedy`` does. A stacked row can
+    differ from a one-row product by ~1e-15, so at a near-tie a beam of any
+    width, or its fallback, may keep another token than one-row steps.
     """
     if width < 1:
         raise ValidationError(f"beam width must be >= 1, got {width}")
@@ -460,15 +437,21 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
     if max_len < 1:
         return []
 
-    # per live row: emitted tokens, parent row in ``state``, next token, summed logprob
+    # per live beam row: emitted tokens, summed logprob; per row of the next
+    # step (the beam's, then the greedy walk's): parent row in ``state``, token
     emitted: list[tuple[int, ...]] = [()]
-    state, rows, tokens, sums = _init_state(model), [0], np.array([START]), np.zeros(1)
+    state, rows, tokens, sums = _init_state(model), [0], [START], np.zeros(1)
     finished: list[tuple[float, tuple[int, ...]]] = []  # (normalized score, emitted)
+    # the greedy walk: its row of the step (None once it has left), emitted tokens, summed logprob
+    g, greedy, greedy_sum = 0, [], 0.0
 
     for it in range(max_len):
         encodings = Tensor(np.repeat(encoding.data, len(rows), axis=0))
-        logits, state = decode_step(model, encodings, state.take(rows), tokens)
-        cand_sums = sums[:, None] + _log_softmax(logits)
+        logits, state = decode_step(model, encodings, state.take(rows), np.array(tokens))
+        lsm = _log_softmax(logits)
+        # after the last step every kept hypothesis is terminal by cutoff
+        last = it == max_len - 1
+        cand_sums = sums[:, None] + lsm[: len(emitted)]
         norms = cand_sums / (it + 1)
         scores = np.concatenate([norms.ravel(), [norm for norm, _ in finished]])
         cut = -np.inf
@@ -483,17 +466,25 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
             pool.append((float(norms[row, tok]), emitted[row] + (tok,), None if tok == END else row))
         pool.sort(key=lambda entry: (-entry[0], entry[1]))
         kept = pool[:width]
-        # after the last step every kept hypothesis is terminal by cutoff
-        last = it == max_len - 1
         finished = [(norm, done) for norm, done, row in kept if row is None or last]
         live = [(done, row) for _, done, row in kept if row is not None and not last]
-        if not live:
-            break
         emitted, rows = [done for done, _ in live], [row for _, row in live]
-        tokens = np.array([done[-1] for done in emitted])
+        tokens = [done[-1] for done in emitted]
         sums = cand_sums[rows, tokens]
+        if g is not None:
+            tok = int(logits[g].argmax())
+            greedy.append(tok)
+            greedy_sum = greedy_sum + float(lsm[g, tok])
+            if tok == END or last:
+                g = None
+            else:
+                rows.append(g)
+                tokens.append(tok)
+                g = len(rows) - 1
+        if not rows:
+            break
 
-    finished.append(_scored_greedy(model, encoding, max_len))
+    finished.append((greedy_sum / len(greedy), tuple(greedy)))
     _, best_emitted = min(finished, key=lambda entry: (-entry[0], entry[1]))
     out = list(best_emitted)
     if out and out[-1] == END:

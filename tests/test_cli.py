@@ -14,7 +14,7 @@ from objcap import cli
 from objcap.checkpoint import save_checkpoint
 from objcap.cli import load_runspec, main
 from objcap.data import ValidationError, build_vocab, load_glove, load_records
-from objcap.models import ModelConfig, build
+from objcap.models import MAX_CAPTION_LEN, ModelConfig, build
 from objcap.training import TrainConfig
 
 
@@ -316,6 +316,55 @@ def test_any_wrong_value_type_exits_1_naming_the_key(case):
         with contextlib.redirect_stderr(err):
             assert main(["train", "--config", str(config)]) == 1
     assert repr(key) in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+# The smallest value each integer run config key accepts.
+_LOWER_BOUNDS = {
+    "min_count": 1, "split_seed": 0, "visual_dim": 1, "max_caption_len": 2, "reduced_dim": 1,
+    "text_embed_dim": 1, "lang_hidden": 1, "decoder_hidden": 1, "label_embed_dim": 1, "max_objects": 1,
+    "model_seed": 0, "epochs": 1, "batch_size": 1, "train_seed": 0,
+}
+# Keys that size an array: 2**63 and more does not fit a numpy dimension.
+_DIMENSIONS = ("visual_dim", "reduced_dim", "text_embed_dim", "lang_hidden", "decoder_hidden", "label_embed_dim")
+
+
+@st.composite
+def config_with_one_out_of_range_integer(draw):
+    """A key and a value that validation rejects: below the key's lower
+    bound, above MAX_CAPTION_LEN, or a dimension of 2**63 and more. A valid
+    huge value is never drawn, since it would train or allocate."""
+    key = draw(st.sampled_from(sorted(_LOWER_BOUNDS)))
+    ranges = [st.integers(max_value=_LOWER_BOUNDS[key] - 1)]
+    if key == "max_caption_len":
+        ranges.append(st.integers(min_value=MAX_CAPTION_LEN + 1))
+    if key in _DIMENSIONS:
+        ranges.append(st.integers(min_value=2**63))
+    return key, draw(st.one_of(ranges))
+
+
+def test_integer_bounds_cover_every_integer_key():
+    assert set(_LOWER_BOUNDS) == {key for key, (kind, _) in RUNSPEC_TYPES.items() if kind == "int"}
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    data_dir = tmp_path_factory.mktemp("synth")
+    assert main(synth_args(data_dir)) == 0
+    return data_dir
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=config_with_one_out_of_range_integer())
+def test_any_out_of_range_integer_exits_1_naming_the_config(synth_dir, case):
+    key, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.json"
+        write_runspec(config, synth_dir, Path(tmp) / "run", **{key: value})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["train", "--config", str(config)]) == 1
+        assert not (Path(tmp) / "run").exists()
+    assert str(config) in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 def test_train_passes_every_runspec_key_to_its_config(tmp_path, monkeypatch):

@@ -308,7 +308,8 @@ def test_load_records_rejects_non_finite_feature(tmp_path, value):
 
 
 def test_load_records_rejects_non_numeric_values(tmp_path):
-    for field, value in (("feature", ["a", "b", "c"]), ("bbox", "wide"), ("distance", None)):
+    for field, value in (("feature", ["a", "b", "c"]), ("bbox", "wide"), ("distance", None),
+                         ("distance", 10**400), ("distance", [1.0])):
         doc = record_doc()
         doc["objects"][0][field] = value
         message = load_second_line(tmp_path, json.dumps(doc))
@@ -324,7 +325,8 @@ def test_load_records_rejects_booleans_and_numeric_strings(tmp_path, field, valu
     else:
         doc["objects"][0][field][1] = value
     message = load_second_line(tmp_path, json.dumps(doc))
-    assert "r9" in message and f"object 0 {field}" in message and "expected a list of numbers" in message
+    expected = "expected a number" if field == "distance" else "expected a list of numbers"
+    assert "r9" in message and f"object 0 {field}" in message and expected in message
 
 
 def test_validate_rejects_non_finite_bbox_and_distance():

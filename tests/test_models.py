@@ -21,7 +21,6 @@ from objcap.models import (
     fuse_objects,
     _init_state,
     _log_softmax,
-    _scored_greedy,
 )
 from objcap.layers import bilstm, embed, lstm_unroll, vocab_head
 from objcap.tensor import Tape, Tensor, add, backward, concat, cross_entropy, softmax
@@ -573,20 +572,25 @@ def test_beam_width_one_equals_greedy():
 
 
 def test_beam_makes_one_decode_step_per_step(monkeypatch):
-    """The live hypotheses step as one batch: with <end> pushed down every
-    hypothesis runs to max_len, so the beam makes max_len steps of up to
-    width rows, and the greedy fallback max_len more of one row."""
-    model = tiny_model("m3", seed=1)
+    """The live hypotheses and the greedy fallback step as one batch: with
+    <end> pushed down every hypothesis runs to max_len, so the beam makes
+    max_len steps, the first of the one root row the walks share, each
+    later one of width rows plus the greedy row, which is fed the greedy
+    caption's tokens."""
+    model = tiny_model("m3", seed=3)
     model.head.bias.data[END] -= 1e6
-    rows = []
+    enc = random_encoding(model, 0)
+    greedy = decode_greedy(model, enc, max_len=8)
+    fed = []
 
     def counted(model, encoding, state, tokens):
-        rows.append(len(tokens))
+        fed.append(tokens.tolist())
         return decode_step(model, encoding, state, tokens)
 
     monkeypatch.setattr(models, "decode_step", counted)
-    assert len(decode_beam(model, random_encoding(model, 0), width=3, max_len=8)) == 8
-    assert rows == [1] + [3] * 7 + [1] * 8
+    assert len(decode_beam(model, enc, width=3, max_len=8)) == 8
+    assert [len(tokens) for tokens in fed] == [1] + [4] * 7
+    assert [tokens[-1] for tokens in fed] == [START] + greedy[:-1]
 
 
 def test_beam_matches_exhaustive_enumeration():
@@ -630,9 +634,9 @@ def sequence_score(model, encoding, tokens, max_len=None):
     return total / emitted
 
 
-def reference_beam(model, encoding, width, max_len=None):
-    """The per-candidate beam: one tuple per (hypothesis, token) pair, all
-    sorted by (-score, emitted); greedy fallback re-scored by sequence_score."""
+def reference_pool_best(model, encoding, width, max_len=None):
+    """(score, emitted) of the per-candidate beam's best hypothesis: one tuple
+    per (hypothesis, token) pair, all sorted by (-score, emitted)."""
     if max_len is None:
         max_len = model.config.max_caption_len
     logits, state = step_one(model, encoding, _init_state(model), START)
@@ -665,7 +669,15 @@ def reference_beam(model, encoding, width, max_len=None):
             else:
                 logits, new_state = step_one(model, encoding, parent_state, tok)
                 alive.append((emitted, lp, new_state, _log_softmax(logits)))
-    best_norm, best_emitted = min(finished, key=lambda entry: (-entry[0], entry[1]))
+    return min(finished, key=lambda entry: (-entry[0], entry[1]))
+
+
+def reference_beam(model, encoding, width, max_len=None):
+    """The per-candidate beam's best, or the greedy fallback, re-scored by
+    sequence_score, when that ranks first."""
+    if max_len is None:
+        max_len = model.config.max_caption_len
+    best_norm, best_emitted = reference_pool_best(model, encoding, width, max_len)
     greedy = decode_greedy(model, encoding, max_len)
     greedy_norm = sequence_score(model, encoding, greedy, max_len)
     greedy_emitted = tuple(greedy) + ((END,) if len(greedy) < max_len else ())
@@ -716,16 +728,12 @@ def test_beam_matches_reference_pool_at_threshold(width):
                 ), (name, seed, max_len)
 
 
-def test_scored_greedy_equals_sequence_score():
-    ended = ran_to_max_len = 0
-    for name, model in threshold_models():
-        for seed in range(3):
-            enc = random_encoding(model, seed + 500)
-            max_len = model.config.max_caption_len
-            greedy = decode_greedy(model, enc)
-            norm, emitted = _scored_greedy(model, enc, max_len)
-            assert norm == sequence_score(model, enc, greedy), name
-            assert strip_end(emitted) == greedy, name
-            ended += len(greedy) < max_len
-            ran_to_max_len += len(greedy) == max_len
-    assert ended and ran_to_max_len
+@pytest.mark.parametrize("width", [2, 3, 5])
+def test_beam_falls_back_to_greedy(width):
+    """A case the greedy fallback decides: the pool's own best is another
+    sequence, and greedy ranks above it."""
+    model = dict(threshold_models(range(4, 5)))["m1-part-tied-4"]
+    enc = random_encoding(model, 500)
+    greedy = decode_greedy(model, enc)
+    assert strip_end(reference_pool_best(model, enc, width)[1]) != greedy
+    assert decode_beam(model, enc, width=width) == reference_beam(model, enc, width) == greedy
