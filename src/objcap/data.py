@@ -6,9 +6,12 @@ The on-disk record format is JSON-lines, one image per line:
     {"id": ..., "num_objects": N, "objects": [{"label": ..., "feature":
     [...], "bbox": [x, y, w, h], "distance": D}, ...], "captions": [5 strings]}
 
-``distance`` is the distance from the bbox center to the image origin and
-is validated against the bbox on load. In memory each object's feature is a
-1-D float64 array, built once where the record is read or made; only
+Captions are JSON strings and ``num_objects`` a JSON integer equal to the
+object count; ``id`` and ``label`` are names, read as text. ``distance`` is
+the distance from the bbox center to the image origin, validated against the
+bbox on load; ``prepare`` derives it from the bbox and reads each image
+through the same record reader. In memory each object's feature is a 1-D
+float64 array, built once where the record is read or made; only
 ``record_to_json`` turns it back into a list.
 """
 from __future__ import annotations
@@ -166,41 +169,44 @@ def _number(value, ctx: str, what: str) -> float:
     raise ValidationError(f"{ctx}: {what}: expected a number, got {value!r:.60}")
 
 
+def _is_string_list(values) -> bool:
+    """Whether a JSON value is a list of strings: the rule for captions."""
+    return type(values) is list and all(type(v) is str for v in values)
+
+
+def _object_from_json(o, ctx: str, k: int) -> ObjectInstance:
+    if type(o) is not dict:
+        raise ValidationError(f"{ctx}: object {k} is not a JSON object")
+    miss = _OBJECT_FIELDS - o.keys()
+    if miss:
+        raise ValidationError(f"{ctx}: object {k} missing field(s) {sorted(miss)}")
+    return ObjectInstance(
+        label=str(o["label"]),
+        feature=_floats(o["feature"], ctx, f"object {k} feature"),
+        bbox=tuple(_floats(o["bbox"], ctx, f"object {k} bbox").tolist()),
+        distance=_number(o["distance"], ctx, f"object {k} distance"),
+    )
+
+
 def _record_from_json(doc, where: str) -> ImageRecord:
+    """The one reader of a records-format document; errors name ``where``."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: a record must be a JSON object, got {type(doc).__name__}")
     missing = _RECORD_FIELDS - doc.keys()
     if missing:
         raise ValidationError(f"{where}: missing field(s) {sorted(missing)}")
     ctx = f"{where}: record {str(doc['id'])!r}"
-    if not isinstance(doc["objects"], list):
+    if type(doc["objects"]) is not list:
         raise ValidationError(f"{ctx}: objects must be a list")
-    if not isinstance(doc["captions"], list):
-        raise ValidationError(f"{ctx}: captions must be a list")
-    try:
-        num_objects = int(doc["num_objects"])
-    except (TypeError, ValueError):
-        raise ValidationError(f"{ctx}: num_objects must be an integer") from None
-    objects = []
-    for k, o in enumerate(doc["objects"]):
-        if not isinstance(o, dict):
-            raise ValidationError(f"{ctx}: object {k} is not a JSON object")
-        miss = _OBJECT_FIELDS - o.keys()
-        if miss:
-            raise ValidationError(f"{ctx}: object {k} missing field(s) {sorted(miss)}")
-        objects.append(
-            ObjectInstance(
-                label=str(o["label"]),
-                feature=_floats(o["feature"], ctx, f"object {k} feature"),
-                bbox=tuple(_floats(o["bbox"], ctx, f"object {k} bbox").tolist()),
-                distance=_number(o["distance"], ctx, f"object {k} distance"),
-            )
-        )
+    if not _is_string_list(doc["captions"]):
+        raise ValidationError(f"{ctx}: captions must be a list of strings, got {doc['captions']!r:.60}")
+    if type(doc["num_objects"]) is not int:  # a bool is a type of its own
+        raise ValidationError(f"{ctx}: num_objects must be an integer, got {doc['num_objects']!r:.60}")
     rec = ImageRecord(
         id=str(doc["id"]),
-        num_objects=num_objects,
-        objects=objects,
-        captions=[str(c) for c in doc["captions"]],
+        num_objects=doc["num_objects"],
+        objects=[_object_from_json(o, ctx, k) for k, o in enumerate(doc["objects"])],
+        captions=doc["captions"],
     )
     validate_record(rec, where=f" ({where})")
     return rec
@@ -503,31 +509,46 @@ def synth_corpus(seed: int, n_images: int, n_labels: int, visual_dim: int, glove
 
 def load_coco_captions(path) -> dict[str, list[str]]:
     """Accept either a plain {image_id: [caption, ...]} mapping or the
-    annotation-list layout with "images"/"annotations" keys. Errors name the file."""
+    annotation-list layout with "images"/"annotations" keys. Each caption
+    must be a JSON string. Errors name the file."""
     doc = _read_json(path, "captions file")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: unrecognized captions JSON layout")
     if "annotations" in doc:
         anns = doc["annotations"]
         if not isinstance(anns, list) or not all(
-            isinstance(a, dict) and {"image_id", "caption"} <= a.keys() and _fits(a.get("id", 0), "float")
+            isinstance(a, dict) and {"image_id", "caption"} <= a.keys() and type(a["caption"]) is str
+            and _fits(a.get("id", 0), "float")
             for a in anns
         ):
-            raise ValidationError(f"{path}: each annotation needs an image_id, a caption and a numeric id")
+            raise ValidationError(f"{path}: each annotation needs an image_id, a caption string and a numeric id")
         grouped: dict[str, list[str]] = {}
         for ann in sorted(anns, key=lambda a: a.get("id", 0)):
-            grouped.setdefault(str(ann["image_id"]), []).append(str(ann["caption"]))
+            grouped.setdefault(str(ann["image_id"]), []).append(ann["caption"])
         return grouped
-    if not all(isinstance(v, list) for v in doc.values()):
-        raise ValidationError(f"{path}: each image id must map to a list of captions")
-    return {str(k): [str(c) for c in v] for k, v in doc.items()}
+    if not all(map(_is_string_list, doc.values())):
+        raise ValidationError(f"{path}: each image id must map to a list of caption strings")
+    return doc
+
+
+def _with_distance(o):
+    """A features-file object in the records format: with the distance its
+    bbox gives, or NaN where it gives none, for the reader to reject the bbox."""
+    if type(o) is not dict:
+        return o
+    try:
+        distance = bbox_center_distance(o.get("bbox"))
+    except (TypeError, ValueError, OverflowError):  # not 4 numbers, or an integer beyond float range
+        distance = math.nan
+    return {**o, "distance": distance}
 
 
 def convert_coco(captions_path, features_path, out_path) -> int:
     """Join caption and per-object feature files into the records format.
 
-    The feature file is {image_id: [{"label", "feature", "bbox"}, ...]};
-    distances are derived from the bboxes. Returns the record count.
+    The feature file is {image_id: [{"label", "feature", "bbox"}, ...]}; each
+    image is read as a records document with its first five captions and the
+    distances its bboxes give. Returns the record count.
     """
     captions_by_id = load_coco_captions(captions_path)
     features_by_id = _read_json(features_path, "features file")
@@ -544,33 +565,11 @@ def convert_coco(captions_path, features_path, out_path) -> int:
             raise ValidationError(
                 f"{ctx}: need {CAPTIONS_PER_IMAGE} captions in {captions_path}, got {len(caps)}"
             )
-        if not isinstance(features_by_id[image_id], list):
+        objects = features_by_id[image_id]
+        if type(objects) is not list:
             raise ValidationError(f"{ctx}: expected a list of objects")
-        objects = []
-        for k, o in enumerate(features_by_id[image_id]):
-            if not isinstance(o, dict):
-                raise ValidationError(f"{ctx}: object {k} is not a JSON object")
-            miss = {"label", "feature", "bbox"} - o.keys()
-            if miss:
-                raise ValidationError(f"{ctx}: object {k} missing {sorted(miss)}")
-            bbox = tuple(_floats(o["bbox"], ctx, f"object {k} bbox").tolist())
-            if len(bbox) != 4:
-                raise ValidationError(f"{ctx}: object {k} bbox must be 4 numbers [x, y, w, h], got {bbox}")
-            objects.append(
-                ObjectInstance(
-                    label=str(o["label"]),
-                    feature=_floats(o["feature"], ctx, f"object {k} feature"),
-                    bbox=bbox,
-                    distance=bbox_center_distance(bbox),
-                )
-            )
-        rec = ImageRecord(
-            id=str(image_id),
-            num_objects=len(objects),
-            objects=objects,
-            captions=caps[:CAPTIONS_PER_IMAGE],
-        )
-        validate_record(rec, where=f" ({features_path})")
-        records.append(rec)
+        doc = {"id": image_id, "num_objects": len(objects), "captions": caps[:CAPTIONS_PER_IMAGE],
+               "objects": [_with_distance(o) for o in objects]}
+        records.append(_record_from_json(doc, where=str(features_path)))
     write_records(out_path, records)
     return len(records)

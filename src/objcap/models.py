@@ -46,6 +46,8 @@ _DEFAULT_DECODER_HIDDEN = {"m1": 1000, "m2": 256, "m3": 256}
 # encode_caption pads every caption to max_caption_len ids; captions run to
 # tens of tokens, so a longer bound only spends memory (and 10**400 overflows).
 MAX_CAPTION_LEN = 10_000
+# numpy's largest array dimension; a larger one fails in numpy, naming no key.
+_MAX_DIM = np.iinfo(np.intp).max
 
 
 @dataclass
@@ -76,8 +78,8 @@ class ModelConfig:
             "decoder_hidden": self.decoder_hidden,
         }
         for name, value in dims.items():
-            if value < 1:
-                raise ValidationError(f"{name} must be positive, got {value}")
+            if not 1 <= value <= _MAX_DIM:
+                raise ValidationError(f"{name} must be in [1, {_MAX_DIM}], got {value}")
         if self.vocab_size < 3:
             raise ValidationError("vocab_size must cover the start/end markers (>= 3)")
         if not 2 <= self.max_caption_len <= MAX_CAPTION_LEN:
@@ -85,8 +87,8 @@ class ModelConfig:
         if self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.variant == "m3":
-            if not self.label_embed_dim or self.label_embed_dim < 1:
-                raise ValidationError("m3 requires a positive label_embed_dim")
+            if not self.label_embed_dim or not 1 <= self.label_embed_dim <= _MAX_DIM:
+                raise ValidationError(f"m3 requires label_embed_dim in [1, {_MAX_DIM}], got {self.label_embed_dim}")
             if not self.max_objects or self.max_objects < 1:
                 raise ValidationError("m3 requires a positive max_objects")
 
@@ -181,10 +183,8 @@ class CaptionExample:
     objects: list[tuple[np.ndarray, str, float]] | None = None
 
 
-def example_from_record(
-    record: ImageRecord, vocab: Vocabulary, config: ModelConfig, caption_index: int = 0
-) -> CaptionExample:
-    tokens = tokenize(record.captions[caption_index])
+def example_from_record(record: ImageRecord, vocab: Vocabulary, config: ModelConfig) -> CaptionExample:
+    tokens = tokenize(record.captions[0])
     ids = encode_caption(vocab, tokens, config.max_caption_len)
     trimmed = ids[: ids.index(END) + 1]
     if not record.objects:

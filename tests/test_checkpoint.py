@@ -152,7 +152,8 @@ def test_shape_mismatch_rejected(tmp_path):
         (lambda cfg: cfg.pop("vocab_size"), "vocab_size"),
         (lambda cfg: cfg.update(visual_dim="wide"), "model_config"),
         (lambda cfg: cfg.update(variant="m9"), "m9"),
-        (lambda cfg: cfg.update(reduced_dim=2**63), "cannot build the saved model"),
+        (lambda cfg: cfg.update(reduced_dim=2**63), "reduced_dim"),  # beyond any numpy dimension
+        (lambda cfg: cfg.update(reduced_dim=2**62), "cannot build the saved model"),  # too large an array
     ],
 )
 def test_bad_model_config_rejected(tmp_path, edit, named):

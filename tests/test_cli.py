@@ -364,7 +364,7 @@ def test_any_out_of_range_integer_exits_1_naming_the_config(synth_dir, case):
         with contextlib.redirect_stderr(err):
             assert main(["train", "--config", str(config)]) == 1
         assert not (Path(tmp) / "run").exists()
-    assert str(config) in err.getvalue() and "Traceback" not in err.getvalue()
+    assert str(config) in err.getvalue() and key in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 def test_train_passes_every_runspec_key_to_its_config(tmp_path, monkeypatch):
@@ -440,9 +440,32 @@ def with_object(**fields):
     return {"1": [dict(_FEATURES["1"][0], **fields)]}
 
 
+def with_caption(caption, layout):
+    """Captions for image 1 in ``layout`` whose third caption is ``caption``."""
+    captions = [f"caption {i}" for i in range(5)]
+    captions[2] = caption
+    if layout == "mapping":
+        return {"1": captions}
+    return {"annotations": [{"id": i, "image_id": 1, "caption": c} for i, c in enumerate(captions)]}
+
+
+def test_prepare_converts_a_numeric_label(tmp_path):
+    cp, fp, op = tmp_path / "caps.json", tmp_path / "feats.json", tmp_path / "out.jsonl"
+    cp.write_text(json.dumps(_CAPTIONS))
+    fp.write_text(json.dumps(with_object(label=17)))
+    assert main(["prepare", "--coco-captions", str(cp), "--features", str(fp), "--out", str(op)]) == 0
+    assert load_records(op)[0].objects[0].label == "17"
+
+
 @pytest.mark.parametrize("captions, features, bad", [
     ({"1": 1}, _FEATURES, "captions"),
     ({"1": "a b c d e"}, _FEATURES, "captions"),
+    (with_caption(None, "mapping"), _FEATURES, "captions"),
+    (with_caption(5, "mapping"), _FEATURES, "captions"),
+    (with_caption(["x"], "mapping"), _FEATURES, "captions"),
+    (with_caption(None, "annotations"), _FEATURES, "captions"),
+    (with_caption(5, "annotations"), _FEATURES, "captions"),
+    (with_caption(["x"], "annotations"), _FEATURES, "captions"),
     ({"annotations": 3}, _FEATURES, "captions"),
     ({"annotations": [{"image_id": 1}]}, _FEATURES, "captions"),
     ({"annotations": [{"image_id": 1, "caption": "a", "id": "x"}]}, _FEATURES, "captions"),
@@ -463,7 +486,9 @@ def with_object(**fields):
     (_CAPTIONS, {"2": _FEATURES["1"]}, "image"),
     ({"1": ["a", "b"]}, _FEATURES, "image"),
 ], ids=[
-    "caption-int", "caption-string", "annotations-int", "annotation-no-caption", "annotation-string-id",
+    "caption-int", "caption-string", "caption-null", "caption-number", "caption-list",
+    "annotation-caption-null", "annotation-caption-number", "annotation-caption-list",
+    "annotations-int", "annotation-no-caption", "annotation-string-id",
     "captions-list", "captions-not-json", "captions-not-utf8", "objects-int", "object-int", "features-list",
     "features-too-deep", "feature-string", "feature-nested", "feature-int", "feature-nan", "bbox-string",
     "bbox-three", "bbox-negative", "no-captions", "two-captions",

@@ -329,6 +329,22 @@ def test_load_records_rejects_booleans_and_numeric_strings(tmp_path, field, valu
     assert "r9" in message and f"object 0 {field}" in message and expected in message
 
 
+@pytest.mark.parametrize("value", [None, 5, ["x"]], ids=["null", "number", "list"])
+def test_load_records_rejects_a_caption_that_is_not_a_string(tmp_path, value):
+    doc = record_doc()
+    doc["captions"][2] = value
+    message = load_second_line(tmp_path, json.dumps(doc))
+    assert "r9" in message and "captions must be a list of strings" in message
+
+
+@pytest.mark.parametrize("value", [True, "1", 1.9], ids=["bool", "string", "fraction"])
+def test_load_records_rejects_a_num_objects_that_is_not_an_integer(tmp_path, value):
+    doc = record_doc()
+    doc["num_objects"] = value
+    message = load_second_line(tmp_path, json.dumps(doc))
+    assert "r9" in message and "num_objects must be an integer" in message
+
+
 def test_validate_rejects_non_finite_bbox_and_distance():
     rec = make_record()
     rec.objects[0].distance = float("nan")
@@ -520,6 +536,14 @@ def test_convert_coco_mapping_layout(tmp_path):
     assert [r.id for r in recs] == ["42", "43"]
     assert len(recs[0].captions) == 5  # extra captions dropped
     assert recs[0].objects[0].distance == bbox_center_distance((0, 0, 10, 10))
+    assert op.read_bytes() == (
+        b'{"captions":["a cat sits 0","a cat sits 1","a cat sits 2","a cat sits 3","a cat sits 4"],"id":"42",'
+        b'"num_objects":1,"objects":[{"bbox":[0.0,0.0,10.0,10.0],"distance":7.0710678118654755,'
+        b'"feature":[1.0,2.0],"label":"cat"}]}\n'
+        b'{"captions":["a dog runs 0","a dog runs 1","a dog runs 2","a dog runs 3","a dog runs 4"],"id":"43",'
+        b'"num_objects":1,"objects":[{"bbox":[5.0,5.0,10.0,10.0],"distance":14.142135623730951,'
+        b'"feature":[3.0,4.0],"label":"dog"}]}\n'
+    )
 
 
 def test_convert_coco_annotation_layout(tmp_path):
