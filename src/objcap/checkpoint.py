@@ -26,6 +26,7 @@ from .data import (
     Vocabulary,
     _atomic_writer,
     _fits,
+    _is_string_list,
     _read_json,
     glove_lines,
 )
@@ -108,9 +109,8 @@ def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocab
     except (TypeError, ValidationError) as e:  # wrong type, unknown or missing key, bad value
         raise CheckpointError(f"{path}: bad model_config: {e}") from e
     tokens = doc.get("vocab_tokens")
-    if not isinstance(tokens, list):
-        raise CheckpointError(f"{path}: checkpoint has no vocab_tokens list")
-    tokens = [str(t) for t in tokens]
+    if not _is_string_list(tokens):
+        raise CheckpointError(f"{path}: checkpoint has no vocab_tokens list of strings")
     if tuple(tokens[:4]) != RESERVED_TOKENS:
         raise CheckpointError(
             f"{path}: checkpoint vocabulary lacks the reserved tokens {RESERVED_TOKENS}"

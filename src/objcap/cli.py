@@ -122,7 +122,10 @@ def _cmd_train(args) -> int:
     spec = load_runspec(args.config)
     records = load_records(spec["records"])
     glove = load_glove(spec["glove"]) if spec["glove"] else None
-    train_set, val_set, test_set = split_dataset(records, seed=spec["split_seed"])
+    try:
+        train_set, val_set, test_set = split_dataset(records, seed=spec["split_seed"])
+    except ValidationError as e:  # too few records
+        raise ValidationError(f"{spec['records']}: {e}") from None
     try:
         vocab = build_vocab(train_set, min_count=spec["min_count"])
         config = ModelConfig(vocab_size=len(vocab), **_config_args(spec, ModelConfig))

@@ -24,10 +24,8 @@ its pieces added into one zeros array. Tensors produced on the tape get each
 factored gradient at once, since their own node needs the full sum when it
 is replayed.
 
-Every recorded output holds its tape and the tape holds every output, so a
-replayed tape is a reference cycle: a caller that is done with it clears
-``tape.nodes`` (``training.train`` does, after each batch) to free the graph
-at once rather than at the collector's next full pass.
+The tape alone holds a graph and no tensor refers back to it, so a replayed
+tape is freed by reference counting with its last name, outputs alive or not.
 
 There is deliberately no broadcasting: binary ops demand equal shapes, and
 the single exception (adding a bias row to every row of a matrix) has its
@@ -68,7 +66,7 @@ class Tensor:
     array of identical shape, filled in by ``backward``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -77,7 +75,6 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._tape: "Tape | None" = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -86,7 +83,6 @@ class Tensor:
         out.data = arr
         out.grad = None
         out.requires_grad = requires_grad
-        out._tape = None
         return out
 
     @property
@@ -137,14 +133,11 @@ def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Te
     out.data = out_data
     out.grad = None
     out.requires_grad = False
-    out._tape = None
     if Tape._stack:
         for t in inputs:
             if t.requires_grad:
-                tape = Tape._stack[-1]
                 out.requires_grad = True
-                out._tape = tape
-                tape.nodes.append((inputs, out, backward_fn))
+                Tape._stack[-1].nodes.append((inputs, out, backward_fn))
                 break
     return out
 
@@ -202,16 +195,18 @@ class _Slice(NamedTuple):
 def backward(loss: Tensor, tape: Tape) -> None:
     """Fill ``grad`` on every requires_grad tensor reachable from ``loss``.
 
-    Gradients accumulate additively across fan-out, so callers should clear
-    stale grads (set to None) before reusing parameters on a fresh tape.
-    A leaf (not produced on ``tape``) gets the factored gradients of its
+    A gradient lives on its tensor until the caller sets ``grad`` to None:
+    gradients accumulate additively across fan-out and across calls, so
+    callers clear stale grads before reusing parameters on a fresh tape.
+    A leaf (no node's output on ``tape``) gets the factored gradients of its
     matmul, take_row and slice_axis uses as one dense sum per kind after the
     replay, in replay order; its other gradients, and every gradient of a
     tensor produced on ``tape``, are added as their nodes are replayed.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._tape is not tape:
+    produced = {out for _, out, _ in tape.nodes}
+    if loss not in produced:
         raise ValueError("loss was not produced on this tape")
     loss.grad = np.ones_like(loss.data)
     deferred: dict[tuple[int, type], tuple[Tensor, list]] = {}
@@ -225,7 +220,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 continue
             if not isinstance(g, tuple):
                 _accumulate(inp, g, fresh=g is not out_grad and g.base is None)
-            elif inp._tape is not tape:
+            elif inp not in produced:
                 deferred.setdefault((id(inp), type(g)), (inp, []))[1].append(g)
             elif type(g) is _Slice and inp.grad is not None:
                 inp.grad[g.idx] += g.g

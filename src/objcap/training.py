@@ -192,6 +192,7 @@ def train(
     remaining captions serve as extra references at evaluation time. A
     batch whose loss or gradient norm is not finite raises ValidationError
     naming the epoch and the batch, before it updates the weights.
+    Gradients live for one optimizer step: the model comes back without any.
     """
     if not train_set:
         raise ValidationError("training set is empty")
@@ -200,6 +201,8 @@ def train(
     opt = make_optimizer(model.params, config)
     history = []
     n = len(examples)
+    for p in model.params.values():
+        p.grad = None
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         order = rng.permutation(n)
@@ -207,8 +210,6 @@ def train(
         epoch_tokens = 0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            for p in model.params.values():
-                p.grad = None
             with Tape() as tape:
                 batch_sum = None
                 batch_tokens = 0
@@ -218,9 +219,7 @@ def train(
                     batch_tokens += steps_i
                 batch_loss = scale(batch_sum, 1.0 / batch_tokens)
             backward(batch_loss, tape)
-            # every output holds the tape, which holds every output: drop the
-            # nodes so the batch's graph is freed now, not at a later gc pass
-            tape.nodes.clear()
+            del tape  # only the tape holds the batch's graph: free it before the step
             norm = clip_gradients(model.params, config.grad_clip_norm or math.inf)
             nats = batch_sum.item()
             if not (math.isfinite(nats) and math.isfinite(norm)):
@@ -229,6 +228,8 @@ def train(
                     f"training loss {nats} or gradient norm {norm}; the weights were not updated"
                 )
             opt.step()
+            for p in model.params.values():
+                p.grad = None
             epoch_nats += nats
             epoch_tokens += batch_tokens
         val = validation_bleu(model, val_set, vocab)

@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from objcap.checkpoint import FORMAT_VERSION, CheckpointError, glove_fingerprint, load_checkpoint, save_checkpoint
+from objcap.checkpoint import (
+    FORMAT_VERSION,
+    CheckpointError,
+    glove_fingerprint,
+    load_checkpoint,
+    save_checkpoint,
+    vocab_fingerprint,
+)
 from objcap.data import GloveTable, build_vocab, synth_corpus
 from objcap.models import ModelConfig, build, decode_greedy, encode, example_from_record
 from objcap.training import TrainConfig, train
@@ -119,6 +126,22 @@ def test_tampered_vocab_rejected(tmp_path):
     with pytest.raises(CheckpointError) as e:
         load_checkpoint(path, glove=glove)
     assert "hash" in str(e.value)
+
+
+@pytest.mark.parametrize("token", [None, 5, ["cat"]], ids=["null", "number", "list"])
+def test_non_string_vocab_token_rejected(tmp_path, token):
+    # the hash matches the tokens read through str(), so only a type check
+    # on each token can refuse the document
+    _, glove, vocab, model = trained_setup(tmp_path)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, vocab)
+    doc = json.loads(path.read_text())
+    doc["vocab_tokens"][5] = token
+    doc["vocab_sha256"] = vocab_fingerprint([str(t) for t in doc["vocab_tokens"]])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="vocab_tokens list of strings") as e:
+        load_checkpoint(path, glove=glove)
+    assert str(path) in str(e.value)
 
 
 def test_unsupported_version_rejected(tmp_path):

@@ -626,6 +626,17 @@ def test_train_records_that_do_not_fit_the_model_name_file_and_record(tmp_path, 
     assert not (tmp_path / "run").exists()  # it failed before training
 
 
+def test_train_too_few_records_to_split_names_the_records_file(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    main(synth_args(data_dir, images=2))
+    config = tmp_path / "run.json"
+    write_runspec(config, data_dir, tmp_path / "run")
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(data_dir / "records.jsonl") in err and "need at least 3 records" in err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+
 def test_module_entry_point(tmp_path):
     hyp = tmp_path / "h.txt"
     hyp.write_text("a b\n")

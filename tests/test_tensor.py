@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -241,6 +243,37 @@ def test_backward_copies_a_gradient_returned_twice():
     backward(loss, tape)
     assert np.array_equal(x.grad, [2.0])
     assert np.array_equal(w.grad, [1.0])
+
+
+def test_tensor_has_no_tape_attribute():
+    # only the tape refers to its graph: an output holds no tape
+    x = Tensor([1.0], requires_grad=True)
+    with Tape():
+        y = add(x, x)
+    assert not hasattr(y, "_tape") and not hasattr(x, "_tape")
+
+
+def test_replayed_tape_dies_with_its_name():
+    # with the collector off, only reference counting can free the tape,
+    # while its loss and an intermediate output are still referenced
+    x = Tensor([[1.0, -2.0]], requires_grad=True)
+    w = Tensor([[0.5], [0.25]], requires_grad=True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            h = tanh(matmul(x, w))
+            loss = sum_all(mul(h, h))
+        backward(loss, tape)
+        assert tape.nodes[-1][1] is loss  # still readable after backward
+        ref = weakref.ref(tape)
+        del tape
+        alive = ref() is not None
+    finally:
+        if enabled:
+            gc.enable()
+    assert not alive
+    assert loss.grad is not None and h.grad is not None and w.grad is not None
 
 
 def test_no_tape_means_no_recording():

@@ -268,6 +268,29 @@ def test_train_releases_each_batch_tape(monkeypatch):
     assert not any(alive)
 
 
+def test_train_returns_a_model_without_gradients():
+    records, _, vocab, model = small_setup()
+    for p in model.params.values():  # stale gradients from an earlier pass
+        p.grad = np.ones_like(p.data)
+    train(model, records, records[:2], TrainConfig(epochs=2), vocab)
+    assert [name for name, p in model.params.items() if p.grad is not None] == []
+
+
+def test_stale_gradients_do_not_change_training():
+    runs = []
+    for stale in (False, True):
+        records, _, vocab, model = small_setup()
+        if stale:
+            for p in model.params.values():
+                p.grad = np.ones_like(p.data)
+        history = train(model, records, [], TrainConfig(epochs=2), vocab)
+        runs.append(([e.train_loss for e in history.epochs], snapshot(model)))
+    (losses0, weights0), (losses1, weights1) = runs
+    assert losses0 == losses1
+    for name, data in weights0.items():
+        assert data.tobytes() == weights1[name].tobytes(), name
+
+
 def test_teacher_forced_loss_counts_steps():
     records, glove, vocab, model = small_setup()
     from objcap.models import example_from_record
