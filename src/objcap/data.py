@@ -169,6 +169,16 @@ def _number(value, ctx: str, what: str) -> float:
     raise ValidationError(f"{ctx}: {what}: expected a number, got {value!r:.60}")
 
 
+def _name(value, ctx: str, what: str) -> str:
+    """A JSON string, or a JSON number read as its text: the rule for ids and
+    labels. Null, a boolean, an array or an object is rejected."""
+    if type(value) is str:
+        return value
+    if type(value) in _NUMBER_TYPES:
+        return str(value)
+    raise ValidationError(f"{ctx}: {what}: expected a string or a number, got {value!r:.60}")
+
+
 def _is_string_list(values) -> bool:
     """Whether a JSON value is a list of strings: the rule for captions."""
     return type(values) is list and all(type(v) is str for v in values)
@@ -181,7 +191,7 @@ def _object_from_json(o, ctx: str, k: int) -> ObjectInstance:
     if miss:
         raise ValidationError(f"{ctx}: object {k} missing field(s) {sorted(miss)}")
     return ObjectInstance(
-        label=str(o["label"]),
+        label=_name(o["label"], ctx, f"object {k} label"),
         feature=_floats(o["feature"], ctx, f"object {k} feature"),
         bbox=tuple(_floats(o["bbox"], ctx, f"object {k} bbox").tolist()),
         distance=_number(o["distance"], ctx, f"object {k} distance"),
@@ -195,7 +205,8 @@ def _record_from_json(doc, where: str) -> ImageRecord:
     missing = _RECORD_FIELDS - doc.keys()
     if missing:
         raise ValidationError(f"{where}: missing field(s) {sorted(missing)}")
-    ctx = f"{where}: record {str(doc['id'])!r}"
+    rec_id = _name(doc["id"], where, "record id")
+    ctx = f"{where}: record {rec_id!r}"
     if type(doc["objects"]) is not list:
         raise ValidationError(f"{ctx}: objects must be a list")
     if not _is_string_list(doc["captions"]):
@@ -203,7 +214,7 @@ def _record_from_json(doc, where: str) -> ImageRecord:
     if type(doc["num_objects"]) is not int:  # a bool is a type of its own
         raise ValidationError(f"{ctx}: num_objects must be an integer, got {doc['num_objects']!r:.60}")
     rec = ImageRecord(
-        id=str(doc["id"]),
+        id=rec_id,
         num_objects=doc["num_objects"],
         objects=[_object_from_json(o, ctx, k) for k, o in enumerate(doc["objects"])],
         captions=doc["captions"],

@@ -15,6 +15,15 @@ input at each time step rather than as an initial state.
 Objects in m3 are canonically ordered by ascending distance from the image
 origin before the convolution, so the encoding is independent of the order
 in which objects arrive.
+
+``encode_batch`` encodes a list of images in one pass and ``encode`` is its
+one-image case. Every encoder product (m3's reduce over all objects and its
+convolution over all objects' kernel-3 windows, m1/m2's reduce over all
+images) runs over zero-padded blocks of ENCODE_BLOCK rows, and each image is
+pooled from its own rows in order. A row of a fixed-size block product does
+not depend on its block mates or its position, so an image's encoding has
+the same bits alone or in any batch; it can differ from a one-row product's
+by ~1e-15.
 """
 from __future__ import annotations
 
@@ -37,7 +46,7 @@ from .layers import (
     lstm_unroll,
     vocab_head,
 )
-from .tensor import Tensor, add, concat, scale, slice_axis, zeros
+from .tensor import Tensor, add, concat, scale, slice_axis, take_row, zeros
 
 VARIANTS = ("m1", "m2", "m3")
 
@@ -216,10 +225,29 @@ def _check_example(model: Model, example: CaptionExample) -> None:
 # ---------------------------------------------------------------------------
 # encoders
 
+# Rows per block of every encoder product. The size is fixed so that a row's
+# bits do not depend on how many images are encoded with it.
+ENCODE_BLOCK = 8
 
-def fuse_objects(model: Model, objects) -> list[Tensor]:
-    """Per-object fused rows (reduced feature ++ label vector), in canonical
-    ascending-distance order. Unknown labels get the zero label vector."""
+
+def _padded(n: int) -> int:
+    """``n`` rounded up to whole ENCODE_BLOCKs."""
+    return -(-n // ENCODE_BLOCK) * ENCODE_BLOCK
+
+
+def _reduce_blocks(model: Model, feats: np.ndarray) -> list[Tensor]:
+    """``model.reduce`` over the rows of ``feats``, whole blocks, one product a block."""
+    return [dense(model.reduce, Tensor(feats[s : s + ENCODE_BLOCK])) for s in range(0, len(feats), ENCODE_BLOCK)]
+
+
+def _block_row(blocks: list[Tensor], r: int) -> Tensor:
+    """Row ``r`` of the rows that ``blocks`` hold in order."""
+    i = r % ENCODE_BLOCK
+    return slice_axis(blocks[r // ENCODE_BLOCK], 0, i, i + 1)
+
+
+def _canonical_objects(model: Model, objects) -> list[tuple[np.ndarray, str, float]]:
+    """One image's objects, checked, in canonical ascending-distance order."""
     cfg = model.config
     if cfg.variant != "m3":
         raise ValidationError("object fusion applies only to m3 models")
@@ -233,48 +261,109 @@ def fuse_objects(model: Model, objects) -> list[Tensor]:
     for f, label, _ in objects:
         if f.shape != (cfg.visual_dim,):
             raise ValidationError(f"object {label!r} feature shape {f.shape} != ({cfg.visual_dim},)")
-    ordered = sorted(objects, key=lambda o: (o[2], o[1], o[0].tobytes()))
-    rows = []
-    for feat, label, _ in ordered:
-        reduced = dense(model.reduce, Tensor(feat.reshape(1, -1)))
-        label_vec = Tensor(model.glove.lookup(label).reshape(1, -1))
-        rows.append(concat([reduced, label_vec], axis=1))
+    return sorted(objects, key=lambda o: (o[2], o[1], o[0].tobytes()))
+
+
+def _fused_table(model: Model, images: list[list]) -> Tensor:
+    """The fused rows (reduced feature ++ label vector) of every object of
+    the canonically ordered ``images``, image after image, padded to whole
+    blocks, then one zero row. Unknown labels get the zero label vector; a
+    padding row is the reduce bias and a zero label vector."""
+    cfg = model.config
+    objects = [o for image in images for o in image]
+    n = _padded(len(objects))
+    feats = np.zeros((n, cfg.visual_dim))
+    labels = np.zeros((n + 1, cfg.label_embed_dim))
+    for r, (feat, label, _) in enumerate(objects):
+        feats[r] = feat
+        labels[r] = model.glove.lookup(label)
+    reduced = _reduce_blocks(model, feats) + [zeros((1, cfg.reduced_dim))]
+    return concat([concat(reduced, axis=0), Tensor(labels)], axis=1)
+
+
+def _object_rows(model: Model, images: list) -> list[Tensor]:
+    """The joint m3 encoding of each image, a 1*fused_dim row: fuse per
+    object, convolve across the image's object axis (kernel 3, same padding,
+    fused -> fused channels), then add its rows in order and scale by 1/k."""
+    images = [_canonical_objects(model, objects) for objects in images]
+    table = _fused_table(model, images)
+    zero = table.shape[0] - 1
+    # an object's window: left neighbour, itself, right neighbour, with the
+    # zero row past its image's edges; a padding row's window is all zero rows
+    windows = np.full((zero, 3), zero)
+    r = 0
+    for image in images:
+        for j in range(len(image)):
+            windows[r] = (r - 1 if j > 0 else zero, r, r + 1 if j + 1 < len(image) else zero)
+            r += 1
+    conv = [
+        dense(model.object_conv, concat([take_row(table, windows[s : s + ENCODE_BLOCK, c]) for c in range(3)], axis=1))
+        for s in range(0, zero, ENCODE_BLOCK)
+    ]
+    rows, start = [], 0
+    for image in images:
+        pooled = _block_row(conv, start)
+        for r in range(start + 1, start + len(image)):
+            pooled = add(pooled, _block_row(conv, r))
+        rows.append(scale(pooled, 1.0 / len(image)))
+        start += len(image)
     return rows
 
 
+def _visual_rows(model: Model, visuals: list) -> list[Tensor]:
+    """The m1/m2 encoding of each whole-image feature vector, a 1*reduced_dim row."""
+    cfg = model.config
+    feats = np.zeros((_padded(len(visuals)), cfg.visual_dim))
+    for i, visual in enumerate(visuals):
+        visual = np.asarray(visual, dtype=np.float64)
+        if visual.shape != (cfg.visual_dim,):
+            raise ValidationError(f"visual feature shape {visual.shape} != ({cfg.visual_dim},)")
+        feats[i] = visual
+    blocks = _reduce_blocks(model, feats)
+    return [_block_row(blocks, i) for i in range(len(visuals))]
+
+
+def fuse_objects(model: Model, objects) -> list[Tensor]:
+    """Per-object fused rows (reduced feature ++ label vector), in canonical
+    ascending-distance order. Unknown labels get the zero label vector."""
+    objects = _canonical_objects(model, objects)
+    table = _fused_table(model, [objects])
+    return [slice_axis(table, 0, j, j + 1) for j in range(len(objects))]
+
+
 def encode_objects(model: Model, objects) -> Tensor:
-    """Joint m3 encoding: fuse per object, convolve across the object axis
-    (kernel 3, same padding, fused -> fused channels), mean-pool."""
-    rows = fuse_objects(model, objects)
-    k = len(rows)
-    edge = zeros((1, model.config.fused_dim))
-    pooled = None
-    for j in range(k):
-        left = rows[j - 1] if j > 0 else edge
-        right = rows[j + 1] if j + 1 < k else edge
-        out = dense(model.object_conv, concat([left, rows[j], right], axis=1))
-        pooled = out if pooled is None else add(pooled, out)
-    return scale(pooled, 1.0 / k)
+    """Joint m3 encoding of one image's objects: the one-image case of ``encode_batch``."""
+    return _object_rows(model, [objects])[0]
 
 
 def encode(model: Model, example: CaptionExample) -> Tensor:
-    """The fixed per-image encoding fed to the decoder at every step."""
+    """The fixed per-image encoding fed to the decoder at every step: the
+    one-image case of ``encode_batch``, bit for bit."""
     _check_example(model, example)
     if model.config.variant == "m3":
         return encode_objects(model, example.objects)
-    visual = np.asarray(example.visual, dtype=np.float64)
-    if visual.shape != (model.config.visual_dim,):
-        raise ValidationError(
-            f"visual feature shape {visual.shape} != ({model.config.visual_dim},)"
-        )
-    return dense(model.reduce, Tensor(visual.reshape(1, -1)))
+    return _visual_rows(model, [example.visual])[0]
+
+
+def encode_batch(model: Model, examples: list[CaptionExample]) -> Tensor:
+    """The encodings of ``examples``, one row per image (n * encoding_dim),
+    each row equal to that image's ``encode``."""
+    if not examples:
+        raise ValidationError("need at least one example to encode")
+    for example in examples:
+        _check_example(model, example)
+    if model.config.variant == "m3":
+        rows = _object_rows(model, [example.objects for example in examples])
+    else:
+        rows = _visual_rows(model, [example.visual for example in examples])
+    return concat(rows, axis=0)
 
 
 # ---------------------------------------------------------------------------
 # training-mode forward
 
 
-def forward_teacher_forced(model: Model, example: CaptionExample) -> list[Tensor]:
+def forward_teacher_forced(model: Model, example: CaptionExample, encoding: Tensor | None = None) -> list[Tensor]:
     """Per-step vocabulary logits under teacher forcing.
 
     For caption ids [w0..wT] (w0 = <start>, wT = <end>) step t consumes wt
@@ -282,6 +371,8 @@ def forward_teacher_forced(model: Model, example: CaptionExample) -> list[Tensor
     m2 runs its bidirectional decoder over the whole forced input sequence.
     The head runs once per caption, as one product over the T stacked
     decoder states, and each returned row is a slice of that T*V matrix.
+    ``encoding`` is the example's row of a batch encoding; without it the
+    example is encoded alone, to the same bits.
     """
     _check_example(model, example)
     ids = example.caption_ids
@@ -292,11 +383,14 @@ def forward_teacher_forced(model: Model, example: CaptionExample) -> list[Tensor
             f"caption length {len(ids)} exceeds max_caption_len {model.config.max_caption_len}"
         )
     cfg = model.config
-    enc = encode(model, example)
+    if encoding is None:
+        encoding = encode(model, example)
+    elif encoding.shape != (1, cfg.encoding_dim):
+        raise ValidationError(f"encoding shape {encoding.shape} != (1, {cfg.encoding_dim})")
     steps = len(ids) - 1
     lang_in = [embed(model.word_embed, ids[t]) for t in range(steps)]
     lang_states = lstm_unroll(model.lang_lstm, lang_in)
-    xs = [concat([enc, h], axis=1) for h in lang_states]
+    xs = [concat([encoding, h], axis=1) for h in lang_states]
     if cfg.variant == "m2":
         dec_states = bilstm(model.decoder_fwd, model.decoder_bwd, xs)
     else:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .bleu import corpus_bleu, corpus_bleu_parts
 from .data import ImageRecord, ValidationError, Vocabulary, _atomic_writer, tokenize
-from .models import Model, decode_greedy_batch, encode, example_from_record, forward_teacher_forced
-from .tensor import Tape, Tensor, add, backward, concat, cross_entropy, scale
+from .models import Model, decode_greedy_batch, encode_batch, example_from_record, forward_teacher_forced
+from .tensor import Tape, Tensor, add, backward, cross_entropy, scale, slice_axis
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -147,9 +147,10 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-def teacher_forced_loss(model: Model, example) -> tuple[Tensor, int]:
-    """Summed cross-entropy over all predicted tokens, plus the token count."""
-    logits = forward_teacher_forced(model, example)
+def teacher_forced_loss(model: Model, example, encoding: Tensor | None = None) -> tuple[Tensor, int]:
+    """Summed cross-entropy over all predicted tokens, plus the token count;
+    ``encoding`` as for ``forward_teacher_forced``."""
+    logits = forward_teacher_forced(model, example, encoding)
     ids = example.caption_ids
     total = None
     for t, row in enumerate(logits):
@@ -160,13 +161,13 @@ def teacher_forced_loss(model: Model, example) -> tuple[Tensor, int]:
 
 def _decode_pairs(model: Model, records: list[ImageRecord], vocab: Vocabulary):
     """Greedy-decode every record (sorted by id for a schedule-independent
-    order), DECODE_BLOCK images per batched walk; returns (hypothesis words,
-    reference token lists) pairs."""
+    order), DECODE_BLOCK images per batch encoding and batched walk; returns
+    (hypothesis words, reference token lists) pairs."""
     records = sorted(records, key=lambda r: r.id)
-    encodings = [encode(model, example_from_record(rec, vocab, model.config)) for rec in records]
     hyps: list[list[int]] = []
-    for start in range(0, len(encodings), DECODE_BLOCK):
-        hyps.extend(decode_greedy_batch(model, concat(encodings[start : start + DECODE_BLOCK], axis=0)))
+    for start in range(0, len(records), DECODE_BLOCK):
+        block = [example_from_record(rec, vocab, model.config) for rec in records[start : start + DECODE_BLOCK]]
+        hyps.extend(decode_greedy_batch(model, encode_batch(model, block)))
     return [
         ([vocab.token_at(i) for i in ids], [tokenize(c) for c in rec.captions])
         for ids, rec in zip(hyps, records)
@@ -192,7 +193,9 @@ def train(
     remaining captions serve as extra references at evaluation time. A
     batch whose loss or gradient norm is not finite raises ValidationError
     naming the epoch and the batch, before it updates the weights.
-    Gradients live for one optimizer step: the model comes back without any.
+    Each batch's images are encoded in one ``encode_batch``, whose rows have
+    the bits of encoding each image alone. Gradients live for one optimizer
+    step: the model comes back without any.
     """
     if not train_set:
         raise ValidationError("training set is empty")
@@ -211,10 +214,12 @@ def train(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             with Tape() as tape:
+                encodings = encode_batch(model, [examples[i] for i in batch])
                 batch_sum = None
                 batch_tokens = 0
-                for i in batch:
-                    loss_i, steps_i = teacher_forced_loss(model, examples[i])
+                for row, i in enumerate(batch):
+                    encoding = slice_axis(encodings, 0, row, row + 1)
+                    loss_i, steps_i = teacher_forced_loss(model, examples[i], encoding)
                     batch_sum = loss_i if batch_sum is None else add(batch_sum, loss_i)
                     batch_tokens += steps_i
                 batch_loss = scale(batch_sum, 1.0 / batch_tokens)

@@ -345,6 +345,31 @@ def test_load_records_rejects_a_num_objects_that_is_not_an_integer(tmp_path, val
     assert "r9" in message and "num_objects must be an integer" in message
 
 
+@pytest.mark.parametrize("value", [None, True, ["cat"], {"name": "cat"}], ids=["null", "bool", "list", "object"])
+def test_load_records_rejects_a_label_that_is_not_a_name(tmp_path, value):
+    doc = record_doc()
+    doc["objects"][1]["label"] = value
+    message = load_second_line(tmp_path, json.dumps(doc))
+    assert "r9" in message and "object 1 label" in message and "expected a string or a number" in message
+
+
+@pytest.mark.parametrize("value", [None, False, ["r9"], {"id": "r9"}], ids=["null", "bool", "list", "object"])
+def test_load_records_rejects_an_id_that_is_not_a_name(tmp_path, value):
+    doc = record_doc()
+    doc["id"] = value
+    message = load_second_line(tmp_path, json.dumps(doc))
+    assert "record id" in message and "expected a string or a number" in message
+
+
+def test_load_records_reads_a_numeric_id_and_label_as_their_text(tmp_path):
+    doc = record_doc()
+    doc["id"], doc["objects"][0]["label"], doc["objects"][1]["label"] = 42, 7, 2.5
+    p = tmp_path / "records.jsonl"
+    p.write_text(json.dumps(doc) + "\n")
+    (rec,) = load_records(p)
+    assert (rec.id, [o.label for o in rec.objects]) == ("42", ["7", "2.5"])
+
+
 def test_validate_rejects_non_finite_bbox_and_distance():
     rec = make_record()
     rec.objects[0].distance = float("nan")

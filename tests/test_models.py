@@ -6,6 +6,7 @@ import pytest
 from objcap import models
 from objcap.data import END, START, GloveTable, ValidationError
 from objcap.models import (
+    ENCODE_BLOCK,
     MAX_CAPTION_LEN,
     CaptionExample,
     ModelConfig,
@@ -15,6 +16,7 @@ from objcap.models import (
     decode_greedy_batch,
     decode_step,
     encode,
+    encode_batch,
     encode_objects,
     example_from_record,
     forward_teacher_forced,
@@ -22,8 +24,8 @@ from objcap.models import (
     _init_state,
     _log_softmax,
 )
-from objcap.layers import bilstm, embed, lstm_unroll, vocab_head
-from objcap.tensor import Tape, Tensor, add, backward, concat, cross_entropy, softmax
+from objcap.layers import bilstm, dense, embed, lstm_unroll, vocab_head
+from objcap.tensor import Tape, Tensor, add, backward, concat, cross_entropy, mul, scale, softmax, sum_all, zeros
 from objcap.data import synth_corpus, build_vocab
 from gradcheck import assert_close, finite_diff_check, reference_backward
 
@@ -268,6 +270,166 @@ def test_one_object_fused_width():
     assert model.config.fused_dim == 3 + 2
 
 
+# --- the batch encoder: fixed-size blocks ---
+
+
+def wide_m3_model():
+    """m3 with the paper's encoder widths (4096 -> 128, 50-d label vectors,
+    a 534 -> 178 convolution) and a tiny decoder."""
+    cfg = tiny_config("m3", visual_dim=4096, reduced_dim=128, label_embed_dim=50, max_objects=3 * ENCODE_BLOCK)
+    rng = np.random.default_rng(2)
+    glove = GloveTable(vectors={w: rng.uniform(-1, 1, 50) for w in ("cat", "dog", "owl")}, dim=50)
+    return build(cfg, glove=glove)
+
+
+def encoder_model(name):
+    if name == "m3-wide":
+        return wide_m3_model()
+    return tiny_model(name, max_objects=3 * ENCODE_BLOCK) if name == "m3" else tiny_model(name)
+
+
+def image_examples(model, rng, n):
+    """``n`` one-image examples of ``model``'s variant; m3 images hold 1-4 objects."""
+    dim = model.config.visual_dim
+    if model.config.variant == "m3":
+        return [CaptionExample(caption_ids=[START, END], objects=random_objects(rng, int(rng.integers(1, 5)), dim))
+                for _ in range(n)]
+    return [CaptionExample(caption_ids=[START, END], visual=rng.uniform(-1, 1, dim)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", ["m3", "m3-wide"])
+def test_fused_row_bits_do_not_depend_on_block_mates_or_position(name):
+    # one object fused alone, then at every position of the first block and
+    # of two later ones, among other objects
+    model = encoder_model(name)
+    dim = model.config.visual_dim
+    rng = np.random.default_rng(11)
+    target = (rng.uniform(-1, 1, dim), "dog", 50.0)
+    alone = fuse_objects(model, [target])[0].data
+    n = 2 * ENCODE_BLOCK + 2
+    for pos in range(n):
+        # distances below the target's sort the first ``pos`` others before it
+        others = [(rng.uniform(-1, 1, dim), "cat", float(j if j < pos else 100 + j)) for j in range(n - 1)]
+        rows = fuse_objects(model, others + [target])
+        assert len(rows) == n
+        assert np.array_equal(rows[pos].data, alone)
+
+
+@pytest.mark.parametrize("name", ["m1", "m2", "m3", "m3-wide"])
+def test_batch_encoding_rows_equal_encode(name):
+    model = encoder_model(name)
+    rng = np.random.default_rng(12)
+    n = max(12, 2 * ENCODE_BLOCK + 3)
+    examples = image_examples(model, rng, n)
+    if model.config.variant == "m3":
+        assert sum(len(ex.objects) for ex in examples) > 2 * ENCODE_BLOCK
+    batch = encode_batch(model, examples)
+    assert batch.shape == (n, model.config.encoding_dim)
+    for i, ex in enumerate(examples):
+        assert np.array_equal(batch.data[i : i + 1], encode(model, ex).data)
+
+
+def test_encode_batch_errors():
+    model = tiny_model("m3")
+    with pytest.raises(ValidationError):
+        encode_batch(model, [])
+    with pytest.raises(ValidationError):
+        encode_batch(model, [CaptionExample(caption_ids=[START, END], visual=np.ones(5))])
+    with pytest.raises(ValidationError):
+        encode_batch(tiny_model("m1"), [CaptionExample(caption_ids=[START, END], visual=np.ones(4))])
+
+
+@pytest.mark.parametrize("name", ["m1", "m3"])
+def test_one_reduce_product_per_block(name):
+    # graph guard: the encoder reads each of its weights once per block of
+    # ENCODE_BLOCK rows, over every image of the batch
+    model = encoder_model(name)
+    examples = image_examples(model, np.random.default_rng(13), 2 * ENCODE_BLOCK + 1)
+    rows = sum(len(ex.objects) for ex in examples) if name == "m3" else len(examples)
+    weights = [model.reduce.weight] + ([model.object_conv.weight] if name == "m3" else [])
+    with Tape() as tape:
+        encode_batch(model, examples)
+    for weight in weights:
+        products = [
+            inputs[0] for inputs, _, rule in tape.nodes
+            if rule.__qualname__.split(".")[0] == "matmul" and inputs[1] is weight
+        ]
+        assert len(products) == -(-rows // ENCODE_BLOCK)
+        assert all(a.shape[0] == ENCODE_BLOCK for a in products)
+
+
+def reference_object_encoding(model, objects):
+    """The m3 encoding of one image as a chain of one-row products: reduce
+    and fuse each object, convolve each kernel-3 window, add the outputs in
+    order and scale by 1/k. Returns the encoding and the fused rows."""
+    ordered = sorted(objects, key=lambda o: (o[2], o[1], o[0].tobytes()))
+    rows = []
+    for f, label, _ in ordered:
+        reduced = dense(model.reduce, Tensor(f.reshape(1, -1)))
+        rows.append(concat([reduced, Tensor(model.glove.lookup(label).reshape(1, -1))], axis=1))
+    edge = zeros((1, model.config.fused_dim))
+    pooled = None
+    for j in range(len(rows)):
+        left = rows[j - 1] if j > 0 else edge
+        right = rows[j + 1] if j + 1 < len(rows) else edge
+        out = dense(model.object_conv, concat([left, rows[j], right], axis=1))
+        pooled = out if pooled is None else add(pooled, out)
+    return scale(pooled, 1.0 / len(rows)), rows
+
+
+ENCODER_PARAMS = ("reduce.weight", "reduce.bias", "object_conv.weight", "object_conv.bias")
+
+
+@pytest.mark.parametrize("name", ["m3", "m3-wide"])
+def test_encoder_gradients_match_per_object_reference(name):
+    model = encoder_model(name)
+    rng = np.random.default_rng(14)
+    dim = model.config.visual_dim
+    images = [random_objects(rng, k, dim) for k in (4, 1, 3, 4, 2, 4, 3)]  # three blocks
+    n_objects = sum(map(len, images))
+    assert n_objects > 2 * ENCODE_BLOCK
+    weights = Tensor(rng.uniform(-1, 1, (len(images), model.config.fused_dim)))
+    grads, values = {}, {}
+    for run in ("batch", "reference"):
+        for p in model.params.values():
+            p.grad = None
+        with Tape() as tape:
+            if run == "batch":
+                enc = encode_batch(model, [CaptionExample(caption_ids=[START, END], objects=o) for o in images])
+            else:
+                encodings, fused = zip(*(reference_object_encoding(model, o) for o in images))
+                enc = concat(list(encodings), axis=0)
+            loss = sum_all(mul(enc, weights))
+        backward(loss, tape)
+        values[run] = enc.data
+        grads[run] = {name: model.params[name].grad for name in ENCODER_PARAMS}
+        if run == "batch":
+            # the fused rows: the table every convolution window is taken from
+            tables = {id(inputs[0]): inputs[0] for inputs, _, rule in tape.nodes
+                      if rule.__qualname__.split(".")[0] == "take_row"}
+            (table,) = tables.values()
+            grads[run]["fused rows"] = table.grad[:n_objects]
+        else:
+            grads[run]["fused rows"] = np.concatenate([row.grad for rows in fused for row in rows])
+    assert_close(values["batch"], values["reference"], 1e-12)
+    for key, want in grads["reference"].items():
+        assert_close(grads["batch"][key], want, 1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(4,), (4, 1, 3, 4, 2, 4)], ids=["one-image", "three-blocks"])
+def test_encoder_finite_differences(sizes):
+    model = encoder_model("m3")
+    rng = np.random.default_rng(15)
+    images = [random_objects(rng, k) for k in sizes]
+    weights = Tensor(rng.uniform(-1, 1, (len(images), model.config.fused_dim)))
+    if len(images) == 1:
+        build_loss = lambda: sum_all(mul(encode_objects(model, images[0]), weights))
+    else:
+        examples = [CaptionExample(caption_ids=[START, END], objects=o) for o in images]
+        build_loss = lambda: sum_all(mul(encode_batch(model, examples), weights))
+    finite_diff_check(build_loss, [model.params[name] for name in ENCODER_PARAMS])
+
+
 # --- teacher-forced forward ---
 
 
@@ -310,6 +472,23 @@ def test_forward_caption_too_long():
     ex = CaptionExample(caption_ids=[START, 4, 5, 4, END], visual=np.ones(5))
     with pytest.raises(ValidationError):
         forward_teacher_forced(model, ex)
+
+
+@pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+def test_forward_from_a_batch_encoding_row_matches_encoding_alone(variant):
+    # training feeds each example its row of the batch encoding: the logits
+    # must have the bits of encoding the example alone
+    model = encoder_model(variant)
+    examples = image_examples(model, np.random.default_rng(17), ENCODE_BLOCK + 3)
+    for ex in examples:
+        ex.caption_ids = [START, 4, 5, END]
+    batch = encode_batch(model, examples)
+    for row, ex in enumerate(examples):
+        alone = forward_teacher_forced(model, ex)
+        given = forward_teacher_forced(model, ex, Tensor(batch.data[row : row + 1]))
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(alone, given))
+    with pytest.raises(ValidationError):
+        forward_teacher_forced(model, examples[0], batch)
 
 
 @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
