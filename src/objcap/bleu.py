@@ -1,5 +1,12 @@
 """Multi-reference BLEU: clipped n-gram precisions, geometric mean, brevity
-penalty. No smoothing: any zero precision zeroes the score."""
+penalty. No smoothing: any zero precision zeroes the score.
+
+Only the hypothesis' n-grams are counted against the references: for each
+order n, each of the hypothesis' n-grams is looked up in each reference's
+n-gram counts, and the counting stops at the first order with no match, since
+a longer match contains a shorter one. A pair's cost thus grows with the
+lengths of its sentences, not with ``max_n``.
+"""
 from __future__ import annotations
 
 import math
@@ -8,7 +15,10 @@ from dataclasses import dataclass
 
 
 def ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """How often each n-gram (a tuple of n tokens) occurs in ``tokens``."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return Counter(zip(*[tokens[k:] for k in range(n)]))
 
 
 def closest_ref_length(hyp_len: int, references) -> int:
@@ -17,22 +27,22 @@ def closest_ref_length(hyp_len: int, references) -> int:
 
 
 def _pair_stats(hypothesis, references, max_n):
-    """Per-pair clipped/total n-gram counts plus length bookkeeping."""
+    """One pair's clipped and total n-gram counts, per order from 1, plus its
+    length and closest reference length. The lists end at the hypothesis
+    length or ``max_n``, and ``clipped`` also at the first order with no
+    match; every order past a list's end counts 0."""
     if not references:
         raise ValueError("at least one reference is required")
-    clipped = [0] * max_n
-    totals = [0] * max_n
-    for n in range(1, max_n + 1):
-        counts = ngram_counts(hypothesis, n)
-        if not counts:
-            continue
-        max_ref = Counter()
-        for ref in references:
-            for gram, cnt in ngram_counts(ref, n).items():
-                if cnt > max_ref[gram]:
-                    max_ref[gram] = cnt
-        clipped[n - 1] = sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
-        totals[n - 1] = sum(counts.values())
+    orders = range(1, min(max_n, len(hypothesis)) + 1)
+    clipped = []
+    for n in orders:
+        in_refs = [ngram_counts(ref, n) for ref in references]
+        grams = ngram_counts(hypothesis, n).items()
+        matched = sum(min(cnt, max(counts.get(gram, 0) for counts in in_refs)) for gram, cnt in grams)
+        if not matched:
+            break
+        clipped.append(matched)
+    totals = [len(hypothesis) - n + 1 for n in orders]
     return clipped, totals, len(hypothesis), closest_ref_length(len(hypothesis), references)
 
 
@@ -76,9 +86,10 @@ def corpus_stats(pairs, max_n: int = 4):
     hyp_len = ref_len = 0
     for hypothesis, references in pairs:
         pc, pt, c, r = _pair_stats(hypothesis, references, max_n)
-        for n in range(max_n):
-            clipped[n] += pc[n]
-            totals[n] += pt[n]
+        for n, k in enumerate(pc):
+            clipped[n] += k
+        for n, k in enumerate(pt):
+            totals[n] += k
         hyp_len += c
         ref_len += r
     return clipped, totals, hyp_len, ref_len

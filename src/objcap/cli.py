@@ -32,7 +32,7 @@ from .data import (
     write_records,
 )
 from .models import ModelConfig, build, decode_beam, decode_greedy, encode, example_from_record
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, check_max_n, evaluate, train
 
 
 @dataclass
@@ -211,6 +211,15 @@ def _cmd_bleu(args) -> int:
     return 0
 
 
+def _max_n(text: str) -> int:
+    """A --max-n value, checked while the arguments are parsed: a bad one is
+    a usage error, reported before any file is read."""
+    try:
+        return check_max_n(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="objcap",
@@ -242,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--glove", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=_max_n, default=4)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("caption", help="decode one record")
@@ -256,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bleu", help="score hypothesis/reference token files")
     p.add_argument("--hyp", required=True)
     p.add_argument("--refs", required=True)
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=_max_n, default=4)
     p.set_defaults(func=_cmd_bleu)
 
     return parser

@@ -16,7 +16,14 @@ import numpy as np
 
 from .bleu import corpus_bleu, corpus_bleu_parts
 from .data import ImageRecord, ValidationError, Vocabulary, _atomic_writer, tokenize
-from .models import Model, decode_greedy_batch, encode_batch, example_from_record, forward_teacher_forced
+from .models import (
+    MAX_CAPTION_LEN,
+    Model,
+    decode_greedy_batch,
+    encode_batch,
+    example_from_record,
+    forward_teacher_forced,
+)
 from .tensor import Tape, Tensor, add, backward, cross_entropy, scale, slice_axis
 
 OPTIMIZERS = ("sgd", "adam")
@@ -267,9 +274,18 @@ class EvalReport:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
+def check_max_n(max_n: int) -> int:
+    """``max_n`` if it is a BLEU order in [1, MAX_CAPTION_LEN], the longest
+    caption a model decodes; otherwise ValueError."""
+    if not 1 <= max_n <= MAX_CAPTION_LEN:
+        raise ValueError(f"max_n must be in [1, {MAX_CAPTION_LEN}], got {max_n}")
+    return max_n
+
+
 def evaluate(model: Model, test_set: list[ImageRecord], vocab: Vocabulary, max_n: int = 4) -> EvalReport:
     """Greedy-decode every test image and score corpus BLEU against the five
     references, with the per-order precision breakdown."""
+    check_max_n(max_n)
     if not test_set:
         raise ValidationError("test set is empty")
     pairs = _decode_pairs(model, test_set, vocab)

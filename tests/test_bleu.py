@@ -1,8 +1,13 @@
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from objcap import bleu
 from objcap.bleu import (
     closest_ref_length,
     corpus_bleu,
@@ -60,6 +65,12 @@ def test_closest_ref_length_tie_prefers_shorter():
 def test_ngram_counts():
     grams = ngram_counts("a b a b".split(), 2)
     assert grams[("a", "b")] == 2 and grams[("b", "a")] == 1
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_ngram_counts_rejects_an_order_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ngram_counts("a b".split(), n)
 
 
 def test_corpus_two_pair_manual_aggregation():
@@ -148,3 +159,82 @@ def test_corpus_argument_validation():
         corpus_bleu(pairs, max_n=0)
     with pytest.raises(ValueError):
         corpus_bleu([(["a"], [])])
+
+
+# ---------------------------------------------------------------------------
+# the brute-force reference: every n-gram of every reference counted and
+# max-merged, for every order up to max_n
+
+
+def brute_force_ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def brute_force_pair_stats(hypothesis, references, max_n):
+    """Per-pair clipped/total n-gram counts plus length bookkeeping."""
+    if not references:
+        raise ValueError("at least one reference is required")
+    clipped = [0] * max_n
+    totals = [0] * max_n
+    for n in range(1, max_n + 1):
+        counts = brute_force_ngram_counts(hypothesis, n)
+        if not counts:
+            continue
+        max_ref = Counter()
+        for ref in references:
+            for gram, cnt in brute_force_ngram_counts(ref, n).items():
+                if cnt > max_ref[gram]:
+                    max_ref[gram] = cnt
+        clipped[n - 1] = sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
+        totals[n - 1] = sum(counts.values())
+    return clipped, totals, len(hypothesis), closest_ref_length(len(hypothesis), references)
+
+
+def brute_force_corpus_stats(pairs, max_n=4):
+    stats = [brute_force_pair_stats(hyp, refs, max_n) for hyp, refs in pairs]
+    return (
+        [sum(s[0][n] for s in stats) for n in range(max_n)],
+        [sum(s[1][n] for s in stats) for n in range(max_n)],
+        sum(s[2] for s in stats),
+        sum(s[3] for s in stats),
+    )
+
+
+@st.composite
+def corpora(draw):
+    """A corpus over an alphabet of 1-6 tokens, so n-grams repeat, with
+    hypotheses of 0-8 tokens (often empty or shorter than max_n), 1-5
+    references of 0-12 tokens each, and a max_n of 1-6."""
+    alphabet = "abcdef"[: draw(st.integers(1, 6))]
+    hypothesis = st.lists(st.sampled_from(alphabet), max_size=8)
+    references = st.lists(st.lists(st.sampled_from(alphabet), max_size=12), min_size=1, max_size=5)
+    return draw(st.lists(st.tuples(hypothesis, references), min_size=1, max_size=6)), draw(st.integers(1, 6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(corpora())
+def test_corpus_stats_and_parts_equal_the_brute_force_reference(corpus):
+    pairs, max_n = corpus
+    expected = brute_force_corpus_stats(pairs, max_n)
+    assert corpus_stats(pairs, max_n) == expected
+    with mock.patch.object(bleu, "corpus_stats", brute_force_corpus_stats):
+        expected_parts = corpus_bleu_parts(pairs, max_n)
+    assert corpus_bleu_parts(pairs, max_n) == expected_parts
+    for tokens in [hyp for hyp, _ in pairs] + [ref for _, refs in pairs for ref in refs]:
+        for n in range(1, max_n + 1):
+            assert ngram_counts(tokens, n) == brute_force_ngram_counts(tokens, n)
+
+
+def test_huge_max_n_holds_zeros_past_the_longest_hypothesis():
+    # the brute-force reference would walk every order up to 10**6 for each pair
+    pairs = [
+        ("a cat sat on the mat".split(), ["a cat sat on a mat".split(), "the cat is on the mat".split()]),
+        ("the cat".split(), ["the cat sat".split()]),
+        ([], ["a b".split()]),
+    ]
+    longest = 6
+    clipped, totals, hyp_len, ref_len = corpus_stats(pairs, max_n=10**6)
+    short = brute_force_corpus_stats(pairs, max_n=longest)
+    assert (clipped[:longest], totals[:longest], hyp_len, ref_len) == short
+    assert len(clipped) == len(totals) == 10**6
+    assert not any(clipped[longest:]) and not any(totals[longest:])

@@ -185,6 +185,26 @@ def test_bleu_errors_name_the_files(tmp_path, capsys, hyp_bytes, refs_bytes, bad
     assert all(str(path) in err for path in named) and message in err, err
 
 
+@pytest.mark.parametrize("max_n", ["1", str(MAX_CAPTION_LEN)])
+def test_bleu_max_n_bounds_are_accepted(tmp_path, capsys, max_n):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("a b\n")
+    assert main(["bleu", "--hyp", str(hyp), "--refs", str(hyp), "--max-n", max_n]) == 0
+    assert capsys.readouterr().out.strip() == "1.0"
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1", str(MAX_CAPTION_LEN + 1), "1000000", "two"])
+@pytest.mark.parametrize("command", ["bleu", "eval"])
+def test_max_n_out_of_range_exits_2_before_reading_a_file(tmp_path, capsys, command, max_n):
+    # the files do not exist: reading one would exit 1 naming it
+    missing = str(tmp_path / "missing")
+    files = {"bleu": ["--hyp", missing, "--refs", missing],
+             "eval": ["--checkpoint", missing, "--test", missing]}
+    assert main([command, *files[command], "--max-n", max_n]) == 2
+    err = capsys.readouterr().err
+    assert "argument --max-n" in err and missing not in err, err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err.lower()

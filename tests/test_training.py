@@ -8,7 +8,7 @@ import pytest
 from objcap import training
 from objcap.bleu import corpus_bleu, corpus_stats
 from objcap.data import ValidationError, build_vocab, synth_corpus, tokenize
-from objcap.models import ModelConfig, build, decode_greedy, encode, example_from_record
+from objcap.models import MAX_CAPTION_LEN, ModelConfig, build, decode_greedy, encode, example_from_record
 from objcap.tensor import Tensor
 from objcap.training import (
     DECODE_BLOCK,
@@ -355,6 +355,16 @@ def test_evaluate_empty_test_set():
     records, glove, vocab, model = small_setup()
     with pytest.raises(ValidationError):
         evaluate(model, [], vocab)
+
+
+@pytest.mark.parametrize("max_n", [0, -1, MAX_CAPTION_LEN + 1])
+def test_evaluate_checks_max_n_before_decoding(monkeypatch, max_n):
+    def no_decoding(model, records, vocab):
+        raise AssertionError("decoded before max_n was checked")
+
+    monkeypatch.setattr(training, "_decode_pairs", no_decoding)
+    with pytest.raises(ValueError, match=f"max_n must be in \\[1, {MAX_CAPTION_LEN}\\], got {max_n}"):
+        evaluate(None, [None], None, max_n=max_n)
 
 
 def test_evaluate_memorized_corpus_scores_one():
