@@ -7,12 +7,13 @@ load(save(model)) reproduces forward passes bit for bit. For m3 models the
 document also carries a fingerprint of the GLOVE table the model was built
 against; loading with different label vectors is refused.
 
+The float64 payload codec, ``data._encode_float64`` and
+``data._decode_float64``, is the one records use for object features.
 Format 1 documents, which held each parameter as a flat decimal list, still
 load; only format 2 is written.
 """
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 from dataclasses import asdict, fields
@@ -25,6 +26,8 @@ from .data import (
     ValidationError,
     Vocabulary,
     _atomic_writer,
+    _decode_float64,
+    _encode_float64,
     _fits,
     _is_string_list,
     _read_json,
@@ -51,10 +54,6 @@ def vocab_fingerprint(tokens: list[str]) -> str:
     return _sha256("\n".join(tokens))
 
 
-def _encode(values: np.ndarray) -> str:
-    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
-
-
 def _decode(data, version: int) -> np.ndarray:
     """A saved parameter's values, for the caller to reshape: in format 2 a
     base64 string of little-endian float64 bytes, in format 1 a decimal list.
@@ -63,7 +62,7 @@ def _decode(data, version: int) -> np.ndarray:
         if not isinstance(data, list):
             raise TypeError("format 1 data must be a list of numbers")
         return np.asarray(data, dtype=np.float64)
-    return np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
+    return _decode_float64(data)
 
 
 def save_checkpoint(path, model: Model, vocab: Vocabulary) -> None:
@@ -78,7 +77,7 @@ def save_checkpoint(path, model: Model, vocab: Vocabulary) -> None:
         "vocab_sha256": vocab_fingerprint(vocab.tokens),
         "glove_sha256": glove_fingerprint(model.glove) if model.glove is not None else None,
         "params": {
-            name: {"shape": list(p.shape), "data": _encode(p.data)}
+            name: {"shape": list(p.shape), "data": _encode_float64(p.data)}
             for name, p in model.params.items()
         },
     }

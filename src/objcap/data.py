@@ -4,18 +4,22 @@ vectors, deterministic splits, and a synthetic desk-scale corpus.
 The on-disk record format is JSON-lines, one image per line:
 
     {"id": ..., "num_objects": N, "objects": [{"label": ..., "feature":
-    [...], "bbox": [x, y, w, h], "distance": D}, ...], "captions": [5 strings]}
+    "<base64>", "bbox": [x, y, w, h], "distance": D}, ...], "captions": [5 strings]}
 
 Captions are JSON strings and ``num_objects`` a JSON integer equal to the
 object count; ``id`` and ``label`` are names, read as text. ``distance`` is
 the distance from the bbox center to the image origin, validated against the
 bbox on load; ``prepare`` derives it from the bbox and reads each image
-through the same record reader. In memory each object's feature is a 1-D
-float64 array, built once where the record is read or made; only
-``record_to_json`` turns it back into a list.
+through the same record reader. A feature is written as base64 of its
+little-endian float64 bytes, the encoding checkpoints give parameters
+(``_encode_float64``); a feature given as a decimal list still loads, so
+``write_records(p, load_records(p))`` rewrites an older file. In memory each
+object's feature is a 1-D float64 array, built once where the record is read
+or made.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -159,6 +163,30 @@ def _floats(values, ctx: str, what: str) -> np.ndarray:
     raise ValidationError(f"{ctx}: {what}: expected a list of numbers, got {values!r:.60}")
 
 
+def _encode_float64(values: np.ndarray) -> str:
+    """Base64 text of ``values``' little-endian float64 bytes in C order: the
+    payload of a record's feature and of a checkpoint's parameter."""
+    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode_float64(text) -> np.ndarray:
+    """The flat values of an ``_encode_float64`` payload, a read-only view of
+    the decoded bytes. Raises TypeError or ValueError on a payload that is not
+    ASCII base64 of a whole number of float64 values."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+
+
+def _feature(value, ctx: str, what: str) -> np.ndarray:
+    """An object's feature: an ``_encode_float64`` string, as written, or a
+    list of numbers, as ``_floats`` reads it."""
+    if type(value) is not str:
+        return _floats(value, ctx, what)
+    try:
+        return _decode_float64(value).astype(np.float64)  # an owned, writable, native copy
+    except ValueError as e:
+        raise ValidationError(f"{ctx}: {what}: not base64 of float64 bytes: {e}") from None
+
+
 def _number(value, ctx: str, what: str) -> float:
     """A JSON number as a float, rejected like an entry of ``_floats``."""
     if type(value) in _NUMBER_TYPES:
@@ -170,11 +198,10 @@ def _number(value, ctx: str, what: str) -> float:
 
 
 def _name(value, ctx: str, what: str) -> str:
-    """A JSON string, or a JSON number read as its text: the rule for ids and
-    labels. Null, a boolean, an array or an object is rejected."""
-    if type(value) is str:
-        return value
-    if type(value) in _NUMBER_TYPES:
+    """A JSON string, or a finite JSON number read as its text: the rule for
+    ids and labels. NaN, an infinity, null, a boolean, an array or an object
+    is rejected."""
+    if _fits(value, "str | float"):
         return str(value)
     raise ValidationError(f"{ctx}: {what}: expected a string or a number, got {value!r:.60}")
 
@@ -192,7 +219,7 @@ def _object_from_json(o, ctx: str, k: int) -> ObjectInstance:
         raise ValidationError(f"{ctx}: object {k} missing field(s) {sorted(miss)}")
     return ObjectInstance(
         label=_name(o["label"], ctx, f"object {k} label"),
-        feature=_floats(o["feature"], ctx, f"object {k} feature"),
+        feature=_feature(o["feature"], ctx, f"object {k} feature"),
         bbox=tuple(_floats(o["bbox"], ctx, f"object {k} bbox").tolist()),
         distance=_number(o["distance"], ctx, f"object {k} distance"),
     )
@@ -245,7 +272,7 @@ def record_to_json(rec: ImageRecord) -> str:
         "objects": [
             {
                 "label": o.label,
-                "feature": o.feature.tolist(),
+                "feature": _encode_float64(o.feature),
                 "bbox": list(o.bbox),
                 "distance": o.distance,
             }
@@ -363,6 +390,14 @@ class GloveTable:
         return word in self.vectors
 
 
+def _decimal(text: str) -> float:
+    """``float(text)`` for ASCII text without ``_``: ``float`` would also read
+    ``1_5`` as 15.0 and non-ASCII digits. Raises ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
 def load_glove(path) -> GloveTable:
     """Parse the standard text format: word followed by d finite decimal values."""
     vectors: dict[str, np.ndarray] = {}
@@ -381,7 +416,7 @@ def load_glove(path) -> GloveTable:
             elif len(values) != dim:
                 raise ValidationError(f"{where}: expected {dim} values, got {len(values)}")
             try:
-                vectors[word] = np.array([float(v) for v in values], dtype=np.float64)
+                vectors[word] = np.array([_decimal(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise ValidationError(f"{where}: non-numeric vector value") from None
             if not np.isfinite(vectors[word]).all():

@@ -554,7 +554,8 @@ def test_too_large_integer_literal_exits_1_naming_the_file(tmp_path, capsys, tar
         if target == "records":
             bad = data_dir / "records.jsonl"
             doc = json.loads(bad.read_text().splitlines()[0])
-            doc["objects"][0]["feature"][0] = "@"
+            # the feature as a decimal list, which still loads, so the literal lands in a value that is read
+            doc["objects"][0]["feature"] = ["@"] + load_records(bad)[0].objects[0].feature[1:].tolist()
             put_literal(bad, doc)
         else:
             bad = config

@@ -1,10 +1,18 @@
+import base64
 import json
 import math
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from objcap import data
+from objcap.checkpoint import glove_fingerprint, save_checkpoint, vocab_fingerprint
 from objcap.data import (
     END,
     PAD,
@@ -30,6 +38,7 @@ from objcap.data import (
     write_glove,
     write_records,
 )
+from objcap.models import ModelConfig, build
 
 
 def make_record(rec_id="r1", labels=("cat",), captions=None):
@@ -156,6 +165,92 @@ def test_load_records_features_are_float64_arrays(tmp_path):
         assert obj.feature.ndim == 1 and obj.feature.flags.c_contiguous
         assert obj.feature.tolist() == written["feature"]
     assert type(rec.objects[0].feature.tolist()[0]) is float
+
+
+def b64(values) -> str:
+    """A feature as written: base64 of its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+_EDGE_FLOATS = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                         -1.7976931348623157e308, 1.0, -1.5e-300])
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.integers(1, 12), elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(_EDGE_FLOATS)
+def test_any_finite_feature_round_trips_bit_for_bit(feature):
+    rec = make_record()
+    rec.objects[0].feature = feature
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "records.jsonl"
+        write_records(p, [rec])
+        (loaded,) = load_records(p)
+    got = loaded.objects[0].feature
+    assert got.tobytes() == feature.tobytes()
+    assert got.dtype == np.float64 and got.dtype.isnative and got.ndim == 1
+    assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+
+
+def test_list_feature_still_loads_to_its_exact_values(tmp_path):
+    # a line as earlier versions wrote it: the feature a decimal list
+    p = tmp_path / "records.jsonl"
+    p.write_text(
+        '{"captions":["a","b","c","d","e"],"id":"old","num_objects":1,"objects":[{"bbox":[0.0,0.0,10.0,10.0],'
+        '"distance":7.0710678118654755,"feature":[0.1,-0.0,5e-324,1.7976931348623157e+308,-3],"label":"cat"}]}\n'
+    )
+    (rec,) = load_records(p)
+    expected = np.array([0.1, -0.0, 5e-324, 1.7976931348623157e308, -3.0])
+    assert rec.objects[0].feature.tobytes() == expected.tobytes()
+    q = tmp_path / "rewritten.jsonl"
+    write_records(q, load_records(p))
+    assert json.loads(q.read_text())["objects"][0]["feature"] == b64(expected)
+    assert load_records(q) == [rec]
+
+
+_NOT_B64 = "not base64 of float64 bytes"
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("AAAAAAAA8D8*AAAAAAAAAEA=", _NOT_B64),  # a character outside the alphabet
+    ("AAAAAAAA8D8", _NOT_B64),  # base64 cut short
+    ("AAAAAAAA 8D8AAAAAAAAAQA==", _NOT_B64),  # whitespace
+    ("AAAAAAAA8D8AAAAAAAAAQ\u00c9==", _NOT_B64),  # non-ASCII text
+    (base64.b64encode(bytes(15)).decode(), _NOT_B64),  # not a whole number of float64 values
+    (base64.b64encode(bytes(4)).decode(), _NOT_B64),
+    ("", "empty feature vector"),
+    (b64([1.0, float("nan"), 2.0]), "NaN or Infinity"),
+    (b64([float("inf"), 1.0, 2.0]), "NaN or Infinity"),
+    (b64([1.0, 2.0, float("-inf")]), "NaN or Infinity"),
+], ids=["alphabet", "padding", "whitespace", "non-ascii", "15-bytes", "4-bytes", "empty", "nan", "inf", "-inf"])
+def test_malformed_base64_feature_names_file_line_record_and_object(tmp_path, value, reason):
+    doc = record_doc()
+    doc["objects"][1]["feature"] = value
+    message = load_second_line(tmp_path, json.dumps(doc))
+    assert "r9" in message and "object 1" in message and reason in message, message
+
+
+def test_checkpoint_through_the_shared_codec_is_byte_identical_to_format_2(tmp_path):
+    records, glove = synth_corpus(seed=4, n_images=5, n_labels=3, visual_dim=6, glove_dim=4)
+    vocab = build_vocab(records)
+    model = build(ModelConfig(variant="m3", visual_dim=6, vocab_size=len(vocab), max_caption_len=14,
+                              reduced_dim=5, text_embed_dim=6, lang_hidden=7, decoder_hidden=8,
+                              label_embed_dim=4, max_objects=5, rng_seed=3), glove=glove)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, vocab)
+    old = {  # the format-2 document as checkpoint.py built it before the codec moved
+        "format_version": 2,
+        "model_config": asdict(model.config),
+        "vocab_tokens": vocab.tokens,
+        "vocab_sha256": vocab_fingerprint(vocab.tokens),
+        "glove_sha256": glove_fingerprint(glove),
+        "params": {
+            name: {"shape": list(p.shape),
+                   "data": base64.b64encode(p.data.astype("<f8", copy=False).tobytes()).decode("ascii")}
+            for name, p in model.params.items()
+        },
+    }
+    assert path.read_bytes() == (json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def test_object_instance_equality():
@@ -345,7 +440,9 @@ def test_load_records_rejects_a_num_objects_that_is_not_an_integer(tmp_path, val
     assert "r9" in message and "num_objects must be an integer" in message
 
 
-@pytest.mark.parametrize("value", [None, True, ["cat"], {"name": "cat"}], ids=["null", "bool", "list", "object"])
+# json.dumps writes a non-finite float as the literal NaN, Infinity or -Infinity, which json.loads reads back
+@pytest.mark.parametrize("value", [None, True, ["cat"], {"name": "cat"}, float("nan"), float("inf"), float("-inf")],
+                         ids=["null", "bool", "list", "object", "NaN", "Infinity", "-Infinity"])
 def test_load_records_rejects_a_label_that_is_not_a_name(tmp_path, value):
     doc = record_doc()
     doc["objects"][1]["label"] = value
@@ -353,7 +450,8 @@ def test_load_records_rejects_a_label_that_is_not_a_name(tmp_path, value):
     assert "r9" in message and "object 1 label" in message and "expected a string or a number" in message
 
 
-@pytest.mark.parametrize("value", [None, False, ["r9"], {"id": "r9"}], ids=["null", "bool", "list", "object"])
+@pytest.mark.parametrize("value", [None, False, ["r9"], {"id": "r9"}, float("nan"), float("inf"), float("-inf")],
+                         ids=["null", "bool", "list", "object", "NaN", "Infinity", "-Infinity"])
 def test_load_records_rejects_an_id_that_is_not_a_name(tmp_path, value):
     doc = record_doc()
     doc["id"] = value
@@ -427,6 +525,23 @@ def test_glove_non_finite_value_rejected(tmp_path, value):
     with pytest.raises(ValidationError) as e:
         load_glove(p)
     assert f"{p}, line 2: vector value is NaN or infinite" in str(e.value)
+
+
+@pytest.mark.parametrize("value", ["1_5", "\u0661", "2.\u0665", "\uff11"], ids=["underscore", "arabic-indic", "fraction", "fullwidth"])
+def test_glove_value_must_be_an_ascii_decimal(tmp_path, value):
+    p = tmp_path / "glove.txt"
+    p.write_text(f"dog 0.5 2.0\ncat {value} 1.0\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as e:
+        load_glove(p)
+    assert f"{p}, line 2: non-numeric vector value" in str(e.value)
+
+
+def test_glove_word_may_be_non_ascii(tmp_path):
+    p = tmp_path / "glove.txt"
+    p.write_text("caf\u00e9 0.5 -1e-3\n\u732b 1E2 +.25\n", encoding="utf-8")
+    table = load_glove(p)
+    assert table.vectors["caf\u00e9"].tolist() == [0.5, -0.001]
+    assert table.vectors["\u732b"].tolist() == [100.0, 0.25]
 
 
 def test_write_glove_text_pinned(tmp_path):
@@ -564,10 +679,10 @@ def test_convert_coco_mapping_layout(tmp_path):
     assert op.read_bytes() == (
         b'{"captions":["a cat sits 0","a cat sits 1","a cat sits 2","a cat sits 3","a cat sits 4"],"id":"42",'
         b'"num_objects":1,"objects":[{"bbox":[0.0,0.0,10.0,10.0],"distance":7.0710678118654755,'
-        b'"feature":[1.0,2.0],"label":"cat"}]}\n'
+        b'"feature":"AAAAAAAA8D8AAAAAAAAAQA==","label":"cat"}]}\n'
         b'{"captions":["a dog runs 0","a dog runs 1","a dog runs 2","a dog runs 3","a dog runs 4"],"id":"43",'
         b'"num_objects":1,"objects":[{"bbox":[5.0,5.0,10.0,10.0],"distance":14.142135623730951,'
-        b'"feature":[3.0,4.0],"label":"dog"}]}\n'
+        b'"feature":"AAAAAAAACEAAAAAAAAAQQA==","label":"dog"}]}\n'
     )
 
 
