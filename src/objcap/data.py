@@ -11,11 +11,10 @@ object count; ``id`` and ``label`` are names, read as text. ``distance`` is
 the distance from the bbox center to the image origin, validated against the
 bbox on load; ``prepare`` derives it from the bbox and reads each image
 through the same record reader. A feature is written as base64 of its
-little-endian float64 bytes, the encoding checkpoints give parameters
-(``_encode_float64``); a feature given as a decimal list still loads, so
-``write_records(p, load_records(p))`` rewrites an older file. In memory each
-object's feature is a 1-D float64 array, built once where the record is read
-or made.
+little-endian float64 bytes (``_encode_float64``); a feature given as a
+decimal list still loads, so ``write_records(p, load_records(p))`` rewrites
+an older file. In memory each object's feature is a 1-D float64 array, built
+once where the record is read or made.
 """
 from __future__ import annotations
 
@@ -64,24 +63,24 @@ def _text_lines(fh, path):
             raise ValidationError(f"{path}, line {lineno}: not UTF-8 text: {e}") from None
 
 
-def _read_json(path, what: str, error=ValidationError):
+def _read_json(path, what: str):
     """The JSON document in ``path``; a file that is not UTF-8 JSON raises
-    ``error`` naming it."""
+    ValidationError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or too many digits; nesting too deep
-        raise error(f"{path}: {what} is not valid UTF-8 JSON: {e}") from None
+        raise ValidationError(f"{path}: {what} is not valid UTF-8 JSON: {e}") from None
 
 
 @contextmanager
-def _atomic_writer(path):
-    """A text file handle on a temp file beside ``path``, renamed over
-    ``path`` when the block ends: an interrupted write leaves ``path`` as it
-    was and removes the temp file."""
+def _atomic_writer(path, binary: bool = False):
+    """A text (or, if ``binary``, binary) file handle on a temp file beside
+    ``path``, renamed over ``path`` when the block ends: an interrupted write
+    leaves ``path`` as it was and removes the temp file."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -164,8 +163,8 @@ def _floats(values, ctx: str, what: str) -> np.ndarray:
 
 
 def _encode_float64(values: np.ndarray) -> str:
-    """Base64 text of ``values``' little-endian float64 bytes in C order: the
-    payload of a record's feature and of a checkpoint's parameter."""
+    """Base64 text of ``values``' little-endian float64 bytes in C order: a
+    record's feature as written."""
     return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
 
 

@@ -1,5 +1,6 @@
 import base64
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from objcap.checkpoint import (
     save_checkpoint,
     vocab_fingerprint,
 )
-from objcap.data import GloveTable, build_vocab, synth_corpus
+from objcap.cli import main
+from objcap.data import GloveTable, build_vocab, synth_corpus, write_glove, write_records
 from objcap.models import ModelConfig, build, decode_greedy, encode, example_from_record
 from objcap.training import TrainConfig, train
 
@@ -38,13 +40,12 @@ def trained_setup(tmp_path, variant="m3", epochs=2):
     return records, glove, vocab, model
 
 
-def payload(values) -> str:
-    """A format-2 parameter payload: base64 of little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def saved_values(entry) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+def rewrite(path, edit=lambda header: header, body=lambda data: data) -> None:
+    """Rewrite the checkpoint at ``path`` with the header line that ``edit``
+    returns for the parsed one, and the body that ``body`` returns for the
+    bytes after the header: by default, each as it was."""
+    line, data = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n" + body(data))
 
 
 @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
@@ -96,7 +97,7 @@ def test_glove_fingerprint_pinned():
 
 
 @pytest.mark.parametrize("existing", [True, False])
-def test_interrupted_save_leaves_previous_checkpoint(tmp_path, monkeypatch, existing):
+def test_interrupted_save_leaves_previous_checkpoint(tmp_path, existing):
     _, _, vocab, model = trained_setup(tmp_path, "m1", epochs=1)
     path = tmp_path / "ck.json"
     if existing:
@@ -104,11 +105,11 @@ def test_interrupted_save_leaves_previous_checkpoint(tmp_path, monkeypatch, exis
         before = path.read_bytes()
     model.params["head.bias"].data += 1.0
 
-    def dump_partway(doc, fh, **kwargs):
-        fh.write('{"format_version":')
-        raise OSError("disk full")
+    class DiskFullAtHeadBias(np.ndarray):  # the header and every earlier parameter are written first
+        def astype(self, *args, **kwargs):
+            raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", dump_partway)
+    model.params["head.bias"].data = model.params["head.bias"].data.view(DiskFullAtHeadBias)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, model, vocab)
     assert [p.name for p in tmp_path.iterdir()] == (["ck.json"] if existing else [])
@@ -120,9 +121,12 @@ def test_tampered_vocab_rejected(tmp_path):
     _, glove, vocab, model = trained_setup(tmp_path)
     path = tmp_path / "ck.json"
     save_checkpoint(path, model, vocab)
-    doc = json.loads(path.read_text())
-    doc["vocab_tokens"][5] = "swapped-in-token"
-    path.write_text(json.dumps(doc))
+
+    def swap_in_token(header):
+        header["vocab_tokens"][5] = "swapped-in-token"
+        return header
+
+    rewrite(path, swap_in_token)
     with pytest.raises(CheckpointError) as e:
         load_checkpoint(path, glove=glove)
     assert "hash" in str(e.value)
@@ -135,10 +139,13 @@ def test_non_string_vocab_token_rejected(tmp_path, token):
     _, glove, vocab, model = trained_setup(tmp_path)
     path = tmp_path / "ck.json"
     save_checkpoint(path, model, vocab)
-    doc = json.loads(path.read_text())
-    doc["vocab_tokens"][5] = token
-    doc["vocab_sha256"] = vocab_fingerprint([str(t) for t in doc["vocab_tokens"]])
-    path.write_text(json.dumps(doc))
+
+    def swap_in_token(header):
+        header["vocab_tokens"][5] = token
+        header["vocab_sha256"] = vocab_fingerprint([str(t) for t in header["vocab_tokens"]])
+        return header
+
+    rewrite(path, swap_in_token)
     with pytest.raises(CheckpointError, match="vocab_tokens list of strings") as e:
         load_checkpoint(path, glove=glove)
     assert str(path) in str(e.value)
@@ -148,10 +155,8 @@ def test_unsupported_version_rejected(tmp_path):
     _, glove, vocab, model = trained_setup(tmp_path)
     path = tmp_path / "ck.json"
     save_checkpoint(path, model, vocab)
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError):
+    rewrite(path, lambda header: {**header, "format_version": 99})
+    with pytest.raises(CheckpointError, match="format version 99"):
         load_checkpoint(path, glove=glove)
 
 
@@ -159,13 +164,9 @@ def test_shape_mismatch_rejected(tmp_path):
     _, glove, vocab, model = trained_setup(tmp_path)
     path = tmp_path / "ck.json"
     save_checkpoint(path, model, vocab)
-    doc = json.loads(path.read_text())
-    doc["params"]["head.bias"]["shape"] = [3]
-    doc["params"]["head.bias"]["data"] = payload([0.0, 0.0, 0.0])
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError):
+    rewrite(path, lambda header: {**header, "params": header["params"][:-1] + [["head.bias", [3]]]})
+    with pytest.raises(CheckpointError, match="head.bias"):
         load_checkpoint(path, glove=glove)
-
 
 
 @pytest.mark.parametrize(
@@ -183,9 +184,12 @@ def test_bad_model_config_rejected(tmp_path, edit, named):
     _, glove, vocab, model = trained_setup(tmp_path)
     path = tmp_path / "ck.json"
     save_checkpoint(path, model, vocab)
-    doc = json.loads(path.read_text())
-    edit(doc["model_config"])
-    path.write_text(json.dumps(doc))
+
+    def edit_config(header):
+        edit(header["model_config"])
+        return header
+
+    rewrite(path, edit_config)
     with pytest.raises(CheckpointError) as e:
         load_checkpoint(path, glove=glove)
     assert named in str(e.value) and str(path) in str(e.value)
@@ -195,64 +199,62 @@ def test_missing_model_config_rejected(tmp_path):
     _, glove, vocab, model = trained_setup(tmp_path)
     path = tmp_path / "ck.json"
     save_checkpoint(path, model, vocab)
-    doc = json.loads(path.read_text())
-    del doc["model_config"]
-    path.write_text(json.dumps(doc))
+    rewrite(path, lambda header: {k: v for k, v in header.items() if k != "model_config"})
     with pytest.raises(CheckpointError) as e:
         load_checkpoint(path, glove=glove)
     assert "model_config" in str(e.value) and str(path) in str(e.value)
 
 
-def test_payload_is_base64_little_endian_float64(tmp_path):
+def test_body_is_each_parameters_little_endian_float64_bytes(tmp_path):
     _, _, vocab, model = trained_setup(tmp_path, "m1", epochs=1)
     path = tmp_path / "ck.json"
     save_checkpoint(path, model, vocab)
-    doc = json.loads(path.read_text())
-    assert doc["format_version"] == FORMAT_VERSION == 2
-    for name, p in model.params.items():
-        entry = doc["params"][name]
-        assert entry["shape"] == list(p.shape)
-        assert entry["data"] == payload(p.data.reshape(-1))
-        assert saved_values(entry).tobytes() == p.data.astype("<f8").tobytes()
+    line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    assert header["format_version"] == FORMAT_VERSION == 3
+    assert header["params"] == [[name, list(p.shape)] for name, p in model.params.items()]
+    assert body == b"".join(p.data.astype("<f8").tobytes() for p in model.params.values())
+    n_params = sum(p.data.size for p in model.params.values())
+    assert path.stat().st_size == len(line) + 1 + 8 * n_params
 
 
-def malformed(doc, case):
-    """A copy of a saved checkpoint document, broken in one way."""
-    params, entry = doc["params"], doc["params"]["head.bias"]
-    values = saved_values(entry)
-    if case == "top-level-array":
-        return [doc]
-    if case == "no-vocab-tokens":
-        del doc["vocab_tokens"]
-    elif case == "vocab-tokens-not-list":
-        doc["vocab_tokens"] = " ".join(doc["vocab_tokens"])
-    elif case == "no-params":
-        del doc["params"]
-    elif case == "params-not-object":
-        doc["params"] = list(params.values())
-    elif case == "entry-not-object":
-        params["head.bias"] = entry["data"]
-    elif case == "entry-without-shape":
-        del entry["shape"]
-    elif case == "entry-without-data":
-        del entry["data"]
-    elif case == "non-numeric-data":  # a character outside the base64 alphabet
-        entry["data"] = entry["data"][:4] + "*" + entry["data"][4:]
-    elif case == "truncated-data":  # cut inside a 4-character base64 group
-        entry["data"] = entry["data"][:-3]
-    elif case == "data-wrong-length":  # one float short
-        entry["data"] = payload(values[:-1])
-    elif case == "data-one-float-long":
-        entry["data"] = payload(np.append(values, 0.0))
-    elif case == "list-data":  # a format-1 payload in a format-2 document
-        entry["data"] = values.tolist()
-    elif case == "nan-data":
-        entry["data"] = payload(np.where(np.arange(values.size) == 0, np.nan, values))
-    elif case == "inf-data":
-        entry["data"] = payload(np.where(np.arange(values.size) == 0, -np.inf, values))
-    elif case == "v1-base64-data":  # a format-2 payload in a format-1 document
-        doc["format_version"] = 1
-    return doc
+def with_first_value(data: bytes, nbytes: int, value: float) -> bytes:
+    """``data`` with the first float64 of its last ``nbytes`` bytes set to ``value``."""
+    return data[:-nbytes] + np.array([value], dtype="<f8").tobytes() + data[len(data) - nbytes + 8 :]
+
+
+def malformed(case, nbytes):
+    """The ``rewrite`` arguments that break a saved checkpoint in one way.
+    ``head.bias`` is the last parameter: its ``[name, shape]`` ends the
+    header's ``params``, and its bytes, ``nbytes`` of them, end the body."""
+    def params(edit):  # the header with its params list replaced by edit(params)
+        return lambda h: {**h, "params": edit(h["params"])}
+
+    header_cases = {
+        "top-level-array": lambda h: [h],
+        "no-vocab-tokens": lambda h: {k: v for k, v in h.items() if k != "vocab_tokens"},
+        "vocab-tokens-not-list": lambda h: {**h, "vocab_tokens": " ".join(h["vocab_tokens"])},
+        "no-params": lambda h: {k: v for k, v in h.items() if k != "params"},
+        "params-object": params(dict),  # the format-2 layout
+        "entry-not-pair": params(lambda ps: ps[:-1] + ["head.bias"]),
+        "entry-without-shape": params(lambda ps: ps[:-1] + [["head.bias"]]),
+        "list-data": params(lambda ps: ps[:-1] + [ps[-1] + [[0.0]]]),  # values in the header, as in format 1
+        "missing-name": params(lambda ps: ps[:-1]),
+        "names-swapped": params(lambda ps: ps[:-2] + [[ps[-1][0], ps[-2][1]], [ps[-2][0], ps[-1][1]]]),
+    }
+    body_cases = {
+        "entry-without-data": lambda b: b[:-nbytes],  # the body ends where head.bias starts
+        "truncated-data": lambda b: b[:-3],  # cut inside head.bias' last float
+        "data-wrong-length": lambda b: b[:-8],  # one float short
+        "one-byte-long": lambda b: b + b"\0",
+        "data-one-float-long": lambda b: b + bytes(8),
+        "non-numeric-data": lambda b: b[:-nbytes] + b"\xff" * nbytes,  # bytes no float64 number has
+        "nan-data": lambda b: with_first_value(b, nbytes, np.nan),
+        "inf-data": lambda b: with_first_value(b, nbytes, -np.inf),
+    }
+    if case in header_cases:
+        return {"edit": header_cases[case]}
+    return {"body": body_cases[case]}
 
 
 @pytest.mark.parametrize(
@@ -262,25 +264,28 @@ def malformed(doc, case):
         ("no-vocab-tokens", "vocab_tokens"),
         ("vocab-tokens-not-list", "vocab_tokens"),
         ("no-params", "params"),
-        ("params-not-object", "params"),
-        ("entry-not-object", "head.bias"),
+        ("params-object", "params"),
+        ("entry-not-pair", "head.bias"),
         ("entry-without-shape", "head.bias"),
+        ("list-data", "head.bias"),
+        ("missing-name", "head.bias"),
+        ("names-swapped", "head.weight"),
         ("entry-without-data", "head.bias"),
-        ("non-numeric-data", "head.bias"),
         ("truncated-data", "head.bias"),
         ("data-wrong-length", "head.bias"),
+        ("one-byte-long", "head.bias"),
         ("data-one-float-long", "head.bias"),
-        ("list-data", "head.bias"),
+        ("non-numeric-data", "head.bias"),
         ("nan-data", "head.bias"),
         ("inf-data", "head.bias"),
-        ("v1-base64-data", "word_embed.table"),
     ],
 )
 def test_malformed_document_rejected(tmp_path, case, named):
     _, glove, vocab, model = trained_setup(tmp_path)
     path = tmp_path / "ck.json"
     save_checkpoint(path, model, vocab)
-    path.write_text(json.dumps(malformed(json.loads(path.read_text()), case)))
+    assert list(model.params)[-1] == "head.bias"
+    rewrite(path, **malformed(case, model.params["head.bias"].data.nbytes))
     with pytest.raises(CheckpointError) as e:
         load_checkpoint(path, glove=glove)
     assert named in str(e.value) and str(path) in str(e.value)
@@ -306,34 +311,35 @@ def test_unallocatable_dimensions_rejected(tmp_path):
     _, glove, vocab, model = trained_setup(tmp_path)
     path = tmp_path / "ck.json"
     save_checkpoint(path, model, vocab)
-    doc = json.loads(path.read_text())
-    doc["model_config"]["visual_dim"] = 10**16
-    path.write_text(json.dumps(doc))
+    rewrite(path, lambda header: {**header, "model_config": {**header["model_config"], "visual_dim": 10**16}})
     with pytest.raises(CheckpointError) as e:
         load_checkpoint(path, glove=glove)
     assert str(path) in str(e.value) and "allocate" in str(e.value)
 
 
-@pytest.mark.parametrize("variant", ["m1", "m3"])
-def test_format_1_checkpoint_loads_bit_identically(tmp_path, variant):
-    records, glove, vocab, model = trained_setup(tmp_path, variant)
-    glove = glove if variant == "m3" else None
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, model, vocab)
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 1
-    for name, p in model.params.items():
-        doc["params"][name]["data"] = p.data.reshape(-1).tolist()
-    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    loaded, loaded_vocab = load_checkpoint(path, glove=glove)
-    assert loaded_vocab.tokens == vocab.tokens
-    for name, p in model.params.items():
-        assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
-    for rec in records:
-        ex = example_from_record(rec, vocab, model.config)
-        assert decode_greedy(loaded, encode(loaded, ex)) == decode_greedy(model, encode(model, ex))
-    # the shared checks still apply to format 1
-    doc["params"]["head.bias"]["data"][0] = float("nan")
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="head.bias"):
-        load_checkpoint(path, glove=glove)
+@pytest.mark.parametrize("version", [1, 2])
+def test_format_1_and_2_checkpoints_exit_1_through_eval(tmp_path, capsys, version):
+    # the single JSON document the earlier formats wrote: each parameter's
+    # values as a decimal list (format 1) or base64 of its float64 bytes (2)
+    records, glove, vocab, model = trained_setup(tmp_path, "m3", epochs=1)
+    doc = {
+        "format_version": version,
+        "model_config": asdict(model.config),
+        "vocab_tokens": vocab.tokens,
+        "vocab_sha256": vocab_fingerprint(vocab.tokens),
+        "glove_sha256": glove_fingerprint(glove),
+        "params": {
+            name: {"shape": list(p.shape),
+                   "data": p.data.reshape(-1).tolist() if version == 1
+                   else base64.b64encode(p.data.astype("<f8").tobytes()).decode("ascii")}
+            for name, p in model.params.items()
+        },
+    }
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    write_records(tmp_path / "test.jsonl", records)
+    write_glove(tmp_path / "glove.txt", glove)
+    assert main(["eval", "--checkpoint", str(path), "--test", str(tmp_path / "test.jsonl"),
+                 "--glove", str(tmp_path / "glove.txt")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and f"format version {version}" in err and "Traceback" not in err, err

@@ -7,8 +7,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_checkpoint import rewrite
 
 from objcap import cli
 from objcap.checkpoint import save_checkpoint
@@ -114,13 +115,10 @@ def test_caption_beam_zero_exits_1(tmp_path, capsys):
 
 def test_caption_bad_model_config_exits_1(tmp_path, capsys):
     checkpoint, args = untrained_caption_args(tmp_path)
-    doc = json.loads(checkpoint.read_text())
-    doc["model_config"]["decoder_layers"] = 2
-    checkpoint.write_text(json.dumps(doc))
+    rewrite(checkpoint, lambda header: {**header, "model_config": {**header["model_config"], "decoder_layers": 2}})
     assert main(args) == 1
     assert "decoder_layers" in capsys.readouterr().err
-    del doc["model_config"]
-    checkpoint.write_text(json.dumps(doc))
+    rewrite(checkpoint, lambda header: {k: v for k, v in header.items() if k != "model_config"})
     assert main(args) == 1
     assert "model_config" in capsys.readouterr().err
 
@@ -132,10 +130,11 @@ def test_malformed_checkpoint_exits_1(tmp_path, capsys, command):
         data_dir = tmp_path / "data"
         args = ["eval", "--checkpoint", str(checkpoint), "--test", str(data_dir / "records.jsonl"),
                 "--glove", str(data_dir / "glove.txt")]
-    doc = json.loads(checkpoint.read_text())
-    for broken in ([doc], {k: v for k, v in doc.items() if k != "params"},
-                   {k: v for k, v in doc.items() if k != "vocab_tokens"}):
-        checkpoint.write_text(json.dumps(broken))
+    saved = checkpoint.read_bytes()
+    for edit in (lambda header: [header], lambda header: {k: v for k, v in header.items() if k != "params"},
+                 lambda header: {k: v for k, v in header.items() if k != "vocab_tokens"}):
+        checkpoint.write_bytes(saved)
+        rewrite(checkpoint, edit)
         assert main(args) == 1
         err = capsys.readouterr().err
         assert str(checkpoint) in err and "Traceback" not in err
@@ -543,9 +542,8 @@ def test_too_large_integer_literal_exits_1_naming_the_file(tmp_path, capsys, tar
     data_dir, config = tmp_path / "data", tmp_path / "run.json"
     if target == "checkpoint":
         bad, _ = untrained_caption_args(tmp_path)
-        doc = json.loads(bad.read_text())
-        doc["model_config"]["visual_dim"] = "@"
-        put_literal(bad, doc)
+        rewrite(bad, lambda header: {**header, "model_config": {**header["model_config"], "visual_dim": "@"}})
+        bad.write_bytes(bad.read_bytes().replace(b'"@"', literal.encode(), 1))  # the header comes first
         args = ["eval", "--checkpoint", str(bad), "--test", str(data_dir / "records.jsonl"),
                 "--glove", str(data_dir / "glove.txt")]
     else:
@@ -708,6 +706,15 @@ _EDITS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(target=st.sampled_from(["records.jsonl", "glove.txt", "checkpoint.json"]), edits=_EDITS)
+# the checkpoint's raw float64 body (2,768 bytes at the fixture's dims) cut by 1 to 2,000
+# bytes (a negative offset counts from the end), and one byte appended to it
+@example(target="checkpoint.json", edits=[("truncate", -2, 0)])
+@example(target="checkpoint.json", edits=[("truncate", -4, 0)])
+@example(target="checkpoint.json", edits=[("truncate", -9, 0)])
+@example(target="checkpoint.json", edits=[("truncate", -169, 0)])
+@example(target="checkpoint.json", edits=[("truncate", -1001, 0)])
+@example(target="checkpoint.json", edits=[("truncate", -2001, 0)])
+@example(target="checkpoint.json", edits=[("insert", -1, 0)])
 def test_mutated_eval_input_exits_0_or_1_naming_the_file(eval_files, target, edits):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: Path(tmp) / name for name in eval_files}

@@ -2,7 +2,6 @@ import base64
 import json
 import math
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from objcap import data
-from objcap.checkpoint import glove_fingerprint, save_checkpoint, vocab_fingerprint
 from objcap.data import (
     END,
     PAD,
@@ -38,7 +36,6 @@ from objcap.data import (
     write_glove,
     write_records,
 )
-from objcap.models import ModelConfig, build
 
 
 def make_record(rec_id="r1", labels=("cat",), captions=None):
@@ -228,29 +225,6 @@ def test_malformed_base64_feature_names_file_line_record_and_object(tmp_path, va
     doc["objects"][1]["feature"] = value
     message = load_second_line(tmp_path, json.dumps(doc))
     assert "r9" in message and "object 1" in message and reason in message, message
-
-
-def test_checkpoint_through_the_shared_codec_is_byte_identical_to_format_2(tmp_path):
-    records, glove = synth_corpus(seed=4, n_images=5, n_labels=3, visual_dim=6, glove_dim=4)
-    vocab = build_vocab(records)
-    model = build(ModelConfig(variant="m3", visual_dim=6, vocab_size=len(vocab), max_caption_len=14,
-                              reduced_dim=5, text_embed_dim=6, lang_hidden=7, decoder_hidden=8,
-                              label_embed_dim=4, max_objects=5, rng_seed=3), glove=glove)
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, model, vocab)
-    old = {  # the format-2 document as checkpoint.py built it before the codec moved
-        "format_version": 2,
-        "model_config": asdict(model.config),
-        "vocab_tokens": vocab.tokens,
-        "vocab_sha256": vocab_fingerprint(vocab.tokens),
-        "glove_sha256": glove_fingerprint(glove),
-        "params": {
-            name: {"shape": list(p.shape),
-                   "data": base64.b64encode(p.data.astype("<f8", copy=False).tobytes()).decode("ascii")}
-            for name, p in model.params.items()
-        },
-    }
-    assert path.read_bytes() == (json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def test_object_instance_equality():
