@@ -11,13 +11,16 @@ fingerprint of the GLOVE table the model was built against; loading with
 different label vectors is refused.
 
 Formats 1 and 2 were single JSON documents holding each parameter as a
-decimal list or a base64 string. Their first line parses as a header, and
-load refuses it by its version.
+decimal list or a base64 string, so their first line is the whole file.
+Every format writes its keys sorted, so a file starts
+``{"format_version":N,``; load refuses another version from those first
+bytes, before it reads the line.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -35,6 +38,8 @@ from .data import (
 from .models import Model, ModelConfig, build
 
 FORMAT_VERSION = 3
+# the start of a header written with sorted keys and no spaces, every format's
+_VERSION_PREFIX = re.compile(rb'\{"format_version":(0|[1-9][0-9]*),')
 
 
 class CheckpointError(ValidationError):
@@ -72,21 +77,28 @@ def save_checkpoint(path, model: Model, vocab: Vocabulary) -> None:
             fh.write(p.data.astype("<f8", copy=False))
 
 
+def _unsupported(path, version) -> CheckpointError:
+    return CheckpointError(f"{path}: unsupported checkpoint format version {version!r}")
+
+
 def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocabulary]:
     """Rebuild the model and vocabulary. m3 checkpoints require the same
     GLOVE table they were saved with (checked by fingerprint). A file that is
     malformed or does not fit raises CheckpointError naming it, and the
     parameter where there is one."""
     with open(path, "rb") as fh:
+        prefix = _VERSION_PREFIX.match(fh.read(32))
+        if prefix and int(prefix[1]) != FORMAT_VERSION:
+            raise _unsupported(path, int(prefix[1]))
+        fh.seek(0)
         try:
             header = json.loads(fh.readline().decode("utf-8"))
         except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or too many digits; nesting too deep
             raise CheckpointError(f"{path}: checkpoint header is not a line of UTF-8 JSON: {e}") from None
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
-        version = header.get("format_version")
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint format version {version!r}")
+        if header.get("format_version") != FORMAT_VERSION:
+            raise _unsupported(path, header.get("format_version"))
 
         saved_config = header.get("model_config")
         if not isinstance(saved_config, dict):

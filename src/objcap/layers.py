@@ -1,9 +1,10 @@
 """Parameterized building blocks: embeddings, dense projection, LSTMs.
 
 Layers operate on a batch of B rows (shape B*d), each row one independent
-example: training feeds single rows (B = 1), batched greedy decoding feeds
-one row per image, and beam search one row per live hypothesis plus one
-for its greedy fallback. Sequences are plain Python lists of such row blocks.
+example: training feeds single rows (B = 1). Decoding steps plain arrays
+through ``lstm_step_array``, one row per image for batched greedy decoding,
+and for beam search one row per live hypothesis plus one for its greedy
+fallback. Sequences are plain Python lists of such row blocks.
 Parameters live in small dataclasses so models can collect them under
 stable names for checkpointing.
 """
@@ -23,6 +24,7 @@ from .tensor import (
     mul,
     sigmoid,
     slice_axis,
+    stable_sigmoid,
     take_row,
     tanh,
     zeros,
@@ -107,6 +109,19 @@ def lstm_step(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, T
     c2 = add(mul(f, c), mul(i, g))
     h2 = mul(o, tanh(c2))
     return h2, c2
+
+
+def lstm_step_array(p: LstmParams, xw: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lstm_step`` on plain arrays, with no tape, given the input projection
+    ``xw`` = x @ W (B*4h) instead of x. Returns (h', c'), with the bits
+    ``lstm_step`` gives for the same projection: decoding steps both LSTMs
+    through it."""
+    n = p.hidden_size
+    z = xw + h @ p.U.data
+    z += p.b.data
+    gates = stable_sigmoid(z)
+    c2 = gates[:, n : 2 * n] * c + gates[:, :n] * np.tanh(z[:, 2 * n : 3 * n])
+    return gates[:, 3 * n :] * np.tanh(c2), c2
 
 
 def lstm_unroll(p: LstmParams, inputs: list[Tensor]) -> list[Tensor]:

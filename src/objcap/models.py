@@ -24,6 +24,11 @@ pooled from its own rows in order. A row of a fixed-size block product does
 not depend on its block mates or its position, so an image's encoding has
 the same bits alone or in any batch; it can differ from a one-row product's
 by ~1e-15.
+
+Decoding runs on plain arrays and records no tape: ``_init_state`` computes
+the encodings' decoder projection enc @ W[:encoding_dim] once, and each
+``decode_step`` adds h_lang @ W[encoding_dim:] to it, where training
+projects concat(enc, h_lang); the logits differ by ~1e-16 relative.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ from .layers import (
     embed,
     embedding_init,
     lstm_init,
-    lstm_step,
+    lstm_step_array,
     lstm_unroll,
     vocab_head,
 )
@@ -403,49 +408,72 @@ def forward_teacher_forced(model: Model, example: CaptionExample, encoding: Tens
 # inference-mode decoding
 
 
+def _decoder(model: Model) -> LstmParams:
+    """The decoder LSTM that generates: m2's forward direction."""
+    return model.decoder_fwd if model.config.variant == "m2" else model.decoder
+
+
 @dataclass
 class _DecodeState:
-    h_lang: Tensor
-    c_lang: Tensor
-    h_dec: Tensor
-    c_dec: Tensor
+    """B rows of decoding state, as plain arrays. ``ctx`` is the decoder's
+    input projection of the encodings, enc @ W[:encoding_dim]: one row per
+    state row, or one row that every state row shares."""
+
+    ctx: np.ndarray
+    h_lang: np.ndarray
+    c_lang: np.ndarray
+    h_dec: np.ndarray
+    c_dec: np.ndarray
 
     def take(self, rows: list[int]) -> "_DecodeState":
         """The state of the batch rows listed in ``rows``."""
-        parts = (self.h_lang, self.c_lang, self.h_dec, self.c_dec)
-        return _DecodeState(*(Tensor(t.data[rows]) for t in parts))
+        ctx = self.ctx if len(self.ctx) == 1 else self.ctx[rows]
+        return _DecodeState(ctx, self.h_lang[rows], self.c_lang[rows], self.h_dec[rows], self.c_dec[rows])
 
 
-def _init_state(model: Model, rows: int = 1) -> _DecodeState:
+def _init_state(model: Model, encodings: Tensor) -> _DecodeState:
+    """The zero state of one row per row of the n*encoding_dim
+    ``encodings``. Their decoder input projection is computed here, once for
+    every step that decodes them."""
     cfg = model.config
+    enc = encodings.data
+    if enc.ndim != 2 or not enc.shape[0] or enc.shape[1] != cfg.encoding_dim:
+        raise ValidationError(
+            f"encodings must be n*encoding_dim rows (n >= 1, encoding_dim {cfg.encoding_dim}), got shape {enc.shape}"
+        )
+    n = enc.shape[0]
     return _DecodeState(
-        h_lang=zeros((rows, cfg.lang_hidden)),
-        c_lang=zeros((rows, cfg.lang_hidden)),
-        h_dec=zeros((rows, cfg.decoder_hidden)),
-        c_dec=zeros((rows, cfg.decoder_hidden)),
+        ctx=enc @ _decoder(model).W.data[: cfg.encoding_dim],
+        h_lang=np.zeros((n, cfg.lang_hidden)),
+        c_lang=np.zeros((n, cfg.lang_hidden)),
+        h_dec=np.zeros((n, cfg.decoder_hidden)),
+        c_dec=np.zeros((n, cfg.decoder_hidden)),
     )
 
 
-def decode_step(model: Model, encoding: Tensor, state: _DecodeState, tokens: np.ndarray):
+def decode_step(model: Model, state: _DecodeState, tokens: np.ndarray) -> tuple[np.ndarray, _DecodeState]:
     """Feed one token to each of B rows, return (logits, next state).
 
-    ``encoding`` and ``state`` hold B rows and ``tokens`` is a 1-D array of
-    B ids; the logits come back as a B*V ndarray. m2 generates with its
-    forward direction only; the backward half of the head input is zero
-    because future context does not exist at inference.
+    ``state`` holds B rows and ``tokens`` is a 1-D integer array of B ids;
+    the logits come back as a B*V ndarray. The decoder's preactivation adds
+    h_lang @ W[encoding_dim:] to the encodings' projection that
+    ``_init_state`` computed. m2 generates with its forward direction only:
+    the backward half of its head input is zero, because future context
+    does not exist at inference, so only the head's first half is read.
     """
     cfg = model.config
-    e = embed(model.word_embed, tokens)
-    h_lang, c_lang = lstm_step(model.lang_lstm, e, state.h_lang, state.c_lang)
-    x = concat([encoding, h_lang], axis=1)
-    if cfg.variant == "m2":
-        h_dec, c_dec = lstm_step(model.decoder_fwd, x, state.h_dec, state.c_dec)
-        head_in = concat([h_dec, zeros(h_dec.shape)], axis=1)
-    else:
-        h_dec, c_dec = lstm_step(model.decoder, x, state.h_dec, state.c_dec)
-        head_in = h_dec
-    logits = vocab_head(model.head, head_in).data
-    return logits, _DecodeState(h_lang, c_lang, h_dec, c_dec)
+    ids = np.asarray(tokens)
+    listed = ids.tolist() if ids.ndim == 1 and ids.dtype.kind in "iu" else []
+    if not listed or len(listed) != len(state.h_lang) or min(listed) < 0 or max(listed) >= cfg.vocab_size:
+        raise ValidationError(
+            f"decode_step: need a 1-D integer array of {len(state.h_lang)} ids in [0, {cfg.vocab_size}), got {tokens!r}"
+        )
+    lang, dec, head = model.lang_lstm, _decoder(model), model.head
+    h_lang, c_lang = lstm_step_array(lang, model.word_embed.table.data[ids] @ lang.W.data, state.h_lang, state.c_lang)
+    dec_in = state.ctx + h_lang @ dec.W.data[cfg.encoding_dim :]
+    h_dec, c_dec = lstm_step_array(dec, dec_in, state.h_dec, state.c_dec)
+    logits = h_dec @ head.weight.data[: cfg.decoder_hidden] + head.bias.data
+    return logits, _DecodeState(state.ctx, h_lang, c_lang, h_dec, c_dec)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -468,12 +496,12 @@ def decode_greedy_batch(model: Model, encodings: Tensor, max_len: int | None = N
     """
     if max_len is None:
         max_len = model.config.max_caption_len
+    state = _init_state(model, encodings)
     out: list[list[int]] = [[] for _ in range(encodings.shape[0])]
     rows = list(range(encodings.shape[0]))
-    state = _init_state(model, len(rows))
     tokens = np.full(len(rows), START)
     for _ in range(max_len):
-        logits, state = decode_step(model, encodings, state, tokens)
+        logits, state = decode_step(model, state, tokens)
         tokens = logits.argmax(axis=1)
         picked = tokens.tolist()
         for row, tok in zip(rows, picked):
@@ -484,7 +512,7 @@ def decode_greedy_batch(model: Model, encodings: Tensor, max_len: int | None = N
             if not keep:
                 break
             rows = [rows[k] for k in keep]
-            encodings, state, tokens = Tensor(encodings.data[keep]), state.take(keep), tokens[keep]
+            state, tokens = state.take(keep), tokens[keep]
     return out
 
 
@@ -520,12 +548,16 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
     The live hypotheses and the greedy walk are the rows of one batch,
     stepped by one ``decode_step`` from one row fed <start> that they share:
     the greedy walk is the last row of each later step and takes its
-    logits' first maximum, as ``decode_greedy`` does. A stacked row can
-    differ from a one-row product by ~1e-15, so at a near-tie a beam of any
-    width, or its fallback, may keep another token than one-row steps.
+    logits' first maximum, as ``decode_greedy`` does. Every row shares the
+    image's one row of decoder input projection. A stacked row can differ
+    from a one-row product by ~1e-15, so at a near-tie a beam of any width,
+    or its fallback, may keep another token than one-row steps.
     """
     if width < 1:
         raise ValidationError(f"beam width must be >= 1, got {width}")
+    if encoding.shape[0] != 1:
+        raise ValidationError(f"decode_beam takes one image's encoding, got shape {encoding.shape}")
+    state = _init_state(model, encoding)
     if max_len is None:
         max_len = model.config.max_caption_len
     if max_len < 1:
@@ -534,14 +566,13 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
     # per live beam row: emitted tokens, summed logprob; per row of the next
     # step (the beam's, then the greedy walk's): parent row in ``state``, token
     emitted: list[tuple[int, ...]] = [()]
-    state, rows, tokens, sums = _init_state(model), [0], [START], np.zeros(1)
+    rows, tokens, sums = [0], [START], np.zeros(1)
     finished: list[tuple[float, tuple[int, ...]]] = []  # (normalized score, emitted)
     # the greedy walk: its row of the step (None once it has left), emitted tokens, summed logprob
     g, greedy, greedy_sum = 0, [], 0.0
 
     for it in range(max_len):
-        encodings = Tensor(np.repeat(encoding.data, len(rows), axis=0))
-        logits, state = decode_step(model, encodings, state.take(rows), np.array(tokens))
+        logits, state = decode_step(model, state.take(rows), np.array(tokens))
         lsm = _log_softmax(logits)
         # after the last step every kept hypothesis is terminal by cutoff
         last = it == max_len - 1

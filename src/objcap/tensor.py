@@ -52,6 +52,7 @@ __all__ = [
     "sigmoid",
     "slice_axis",
     "softmax",
+    "stable_sigmoid",
     "sum_all",
     "take_row",
     "tanh",
@@ -304,14 +305,19 @@ def add_rowvector(x: Tensor, b: Tensor) -> Tensor:
     return _record((x, b), x.data + b.data, bw)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def stable_sigmoid(d: np.ndarray) -> np.ndarray:
+    """The logistic function of an array, as a new array, without a tape."""
     # Split by sign so exp never overflows: with e = exp(-|d|), 1/(1+e) for
     # d >= 0 (where e <= 1, so max(e, 1) = 1) and e/(1+e) below.
-    d = x.data
     e = np.abs(d, out=np.empty_like(d))  # an array even for a 0-d d
     np.exp(np.negative(e, out=e), out=e)
     s = np.maximum(e, d >= 0)
     s /= 1.0 + e
+    return s
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    s = stable_sigmoid(x.data)
 
     def bw(g: np.ndarray):
         return (g * s * (1.0 - s),)

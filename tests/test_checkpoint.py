@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -343,3 +344,23 @@ def test_format_1_and_2_checkpoints_exit_1_through_eval(tmp_path, capsys, versio
                  "--glove", str(tmp_path / "glove.txt")]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and f"format version {version}" in err and "Traceback" not in err, err
+
+
+def test_old_format_with_a_long_first_line_is_refused_from_its_first_bytes(tmp_path):
+    # a format-2-shaped document whose one line is >= 20 MB, as a paper-dims
+    # format-2 checkpoint's is: refused by version without reading that line
+    path = tmp_path / "checkpoint.json"
+    payload = base64.b64encode(bytes(15 * 2**20)).decode("ascii")
+    doc = {"format_version": 2, "model_config": {}, "params": {"head.bias": {"data": payload, "shape": [1]}}}
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    del doc, payload
+    assert path.stat().st_size >= 20 * 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="unsupported checkpoint format version 2") as e:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(e.value)
+    assert peak < 2**20, peak

@@ -15,6 +15,7 @@ from objcap.layers import (
     embedding_init,
     lstm_init,
     lstm_step,
+    lstm_step_array,
     lstm_unroll,
     vocab_head,
 )
@@ -207,6 +208,23 @@ def test_lstm_step_graph_shape():
         "matmul": 2, "add": 2, "add_rowvector": 1, "sigmoid": 1, "tanh": 2, "slice_axis": 4, "mul": 3,
     }
     assert len(tape) == 15
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize(
+    "input_dim, hidden",
+    [(256, 256), (128 + 256, 1000), (178 + 256, 256)],
+    ids=["language", "m1-decoder", "m3-decoder"],
+)
+def test_plain_array_step_matches_lstm_step_bitwise(rows, input_dim, hidden):
+    # the paper dims of the language LSTM and of the m1 and m3 decoders: the
+    # step decoding runs gives the tape step's h' and c' for the same x @ W
+    p = lstm_init(input_dim, hidden, rng(74))
+    r = rng(75)
+    x, h, c = (r.uniform(-2, 2, (rows, d)) for d in (input_dim, hidden, hidden))
+    h2, c2 = lstm_step(p, Tensor(x), Tensor(h), Tensor(c))
+    got_h, got_c = lstm_step_array(p, x @ p.W.data, h, c)
+    assert np.array_equal(got_h, h2.data) and np.array_equal(got_c, c2.data)
 
 
 def test_unroll_single_step_equivalence():

@@ -639,18 +639,18 @@ def test_greedy_tie_breaks_to_lowest_index():
     assert out == [0] * model.config.max_caption_len
 
 
-def step_one(model, encoding, state, token):
+def step_one(model, state, token):
     """decode_step on one row fed the one id ``token``: (its logits row, next state)."""
-    logits, state = decode_step(model, encoding, state, np.array([token]))
+    logits, state = decode_step(model, state, np.array([token]))
     return logits[0], state
 
 
 def reference_greedy(model, encoding):
     """Per-image greedy decoding one decode_step at a time, argmax of each
     logits row taking the lowest index among equal maxima."""
-    state, token, out = _init_state(model), START, []
+    state, token, out = _init_state(model, encoding), START, []
     for _ in range(model.config.max_caption_len):
-        logits, state = step_one(model, encoding, state, token)
+        logits, state = step_one(model, state, token)
         token = int(np.argmax(logits))
         if token == END:
             break
@@ -691,10 +691,10 @@ def test_batched_walk_respects_max_len():
 def test_decode_step_one_id_gives_a_row_and_ids_give_a_matrix():
     model = tiny_model("m2", seed=5)
     encodings = [random_encoding(model, k) for k in range(3)]
-    stacked, _ = decode_step(model, concat(encodings, axis=0), _init_state(model, 3), np.array([START] * 3))
+    stacked, _ = decode_step(model, _init_state(model, concat(encodings, axis=0)), np.array([START] * 3))
     assert stacked.shape == (3, model.config.vocab_size)
     for r, enc in enumerate(encodings):
-        row, _ = decode_step(model, enc, _init_state(model), np.array([START]))
+        row, _ = decode_step(model, _init_state(model, enc), np.array([START]))
         assert row.shape == (1, model.config.vocab_size)
         assert np.allclose(stacked[r], row[0], rtol=0.0, atol=1e-12)
 
@@ -706,6 +706,75 @@ def test_decode_greedy_takes_one_image():
         decode_greedy(model, encodings)
 
 
+def test_decode_beam_takes_one_image():
+    model = tiny_model("m3")
+    encodings = concat([random_encoding(model, k) for k in range(2)], axis=0)
+    with pytest.raises(ValidationError, match="one image"):
+        decode_beam(model, encodings, width=2)
+
+
+@pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+@pytest.mark.parametrize(
+    "decode",
+    [
+        lambda model, enc: decode_greedy(model, enc),
+        lambda model, enc: decode_greedy_batch(model, enc),
+        lambda model, enc: decode_beam(model, enc, width=2),
+    ],
+    ids=["greedy", "greedy-batch", "beam"],
+)
+def test_encoding_of_the_wrong_width_is_rejected_naming_encoding_dim(decode, variant):
+    model = tiny_model(variant)
+    for width in (model.config.encoding_dim - 1, model.config.encoding_dim + 1):
+        with pytest.raises(ValidationError, match=f"encoding_dim {model.config.encoding_dim}"):
+            decode(model, Tensor(np.zeros((1, width))))
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [np.array([-1]), np.array([6]), np.array([[START]]), np.array([1.0]), np.array([START, START]),
+     np.array([], dtype=np.int64), np.array([True])],
+    ids=["negative", "past-vocab", "2-D", "float", "two-ids-for-one-row", "empty", "bool"],
+)
+def test_decode_step_rejects_bad_ids(tokens):
+    model = tiny_model("m3")
+    assert model.config.vocab_size == 6
+    with pytest.raises(ValidationError, match="ids in"):
+        decode_step(model, _init_state(model, random_encoding(model, 0)), tokens)
+
+
+@pytest.mark.parametrize("variant", ["m1", "m3"])
+@pytest.mark.parametrize("dims", ["tiny", "desk"])
+def test_decode_steps_give_the_teacher_forced_logits(variant, dims):
+    """Decoding a caption's tokens one ``decode_step`` at a time from
+    ``_init_state`` reproduces ``forward_teacher_forced``'s logit rows to
+    1e-12 relative, with the same argmax: the plain-array decoder with its
+    encoding projection split off computes what the trained graph computes.
+    m2 is left out: its backward direction reads the whole forced caption in
+    training, future tokens included, while decoding feeds it zeros, so the
+    two differ by design until m2's backward direction reads only the
+    prefix (ROADMAP item 3)."""
+    size = {} if dims == "tiny" else dict(
+        vocab_size=40, reduced_dim=16, text_embed_dim=24, lang_hidden=32, decoder_hidden=48, max_caption_len=12
+    )
+    for seed in range(4):
+        model = tiny_model(variant, seed=seed, **size)
+        rng = np.random.default_rng(seed + 500)
+        cfg = model.config
+        words = rng.integers(4, cfg.vocab_size, int(rng.integers(1, cfg.max_caption_len - 1))).tolist()
+        ids = [START] + words + [END]
+        if variant == "m3":
+            example = CaptionExample(caption_ids=ids, objects=random_objects(rng, int(rng.integers(1, 4))))
+        else:
+            example = CaptionExample(caption_ids=ids, visual=rng.uniform(-1, 1, cfg.visual_dim))
+        rows = forward_teacher_forced(model, example)
+        state = _init_state(model, encode(model, example))
+        for token, want in zip(ids, rows):
+            logits, state = step_one(model, state, token)
+            assert_close(logits, want.data[0], 1e-12)
+            assert int(np.argmax(logits)) == int(np.argmax(want.data[0]))
+
+
 # --- beam decoding ---
 
 
@@ -714,7 +783,7 @@ def enumerate_best(model, encoding, max_len):
     results = []
 
     def walk(state, prev_tok, tokens, lp_sum, depth):
-        logits, new_state = step_one(model, encoding, state, prev_tok)
+        logits, new_state = step_one(model, state, prev_tok)
         lps = _log_softmax(logits)
         for tok in range(model.config.vocab_size):
             lp = lp_sum + float(lps[tok])
@@ -725,7 +794,7 @@ def enumerate_best(model, encoding, max_len):
             else:
                 walk(new_state, tok, emitted, lp, depth + 1)
 
-    walk(_init_state(model), START, (), 0.0, 0)
+    walk(_init_state(model, encoding), START, (), 0.0, 0)
     return min(results, key=lambda e: (-e[0], e[1]))
 
 
@@ -762,9 +831,9 @@ def test_beam_makes_one_decode_step_per_step(monkeypatch):
     greedy = decode_greedy(model, enc, max_len=8)
     fed = []
 
-    def counted(model, encoding, state, tokens):
+    def counted(model, state, tokens):
         fed.append(tokens.tolist())
-        return decode_step(model, encoding, state, tokens)
+        return decode_step(model, state, tokens)
 
     monkeypatch.setattr(models, "decode_step", counted)
     assert len(decode_beam(model, enc, width=3, max_len=8)) == 8
@@ -798,16 +867,16 @@ def sequence_score(model, encoding, tokens, max_len=None):
     scorer, decoding ``tokens`` again from <start> one decode_step at a time."""
     if max_len is None:
         max_len = model.config.max_caption_len
-    state = _init_state(model)
+    state = _init_state(model, encoding)
     prev = START
     total = 0.0
     for tok in tokens:
-        logits, state = step_one(model, encoding, state, prev)
+        logits, state = step_one(model, state, prev)
         total = total + float(_log_softmax(logits)[tok])
         prev = tok
     emitted = len(tokens)
     if len(tokens) < max_len:
-        logits, state = step_one(model, encoding, state, prev)
+        logits, state = step_one(model, state, prev)
         total = total + float(_log_softmax(logits)[END])
         emitted += 1
     return total / emitted
@@ -818,7 +887,7 @@ def reference_pool_best(model, encoding, width, max_len=None):
     per (hypothesis, token) pair, all sorted by (-score, emitted)."""
     if max_len is None:
         max_len = model.config.max_caption_len
-    logits, state = step_one(model, encoding, _init_state(model), START)
+    logits, state = step_one(model, _init_state(model, encoding), START)
     alive = [((), 0.0, state, _log_softmax(logits))]
     finished = []
     for it in range(max_len):
@@ -846,7 +915,7 @@ def reference_pool_best(model, encoding, width, max_len=None):
             if last:
                 finished.append((norm, emitted))
             else:
-                logits, new_state = step_one(model, encoding, parent_state, tok)
+                logits, new_state = step_one(model, parent_state, tok)
                 alive.append((emitted, lp, new_state, _log_softmax(logits)))
     return min(finished, key=lambda entry: (-entry[0], entry[1]))
 
