@@ -119,7 +119,10 @@ def load_checkpoint(path, glove: GloveTable | None = None) -> tuple[Model, Vocab
             )
         if vocab_fingerprint(tokens) != header.get("vocab_sha256"):
             raise CheckpointError(f"{path}: vocabulary hash mismatch: checkpoint is corrupt or was edited")
-        vocab = Vocabulary(tokens[4:])
+        try:
+            vocab = Vocabulary(tokens[4:])
+        except ValidationError as e:  # a repeated token
+            raise CheckpointError(f"{path}: {e}") from None
         if len(vocab) != config.vocab_size:
             raise CheckpointError(
                 f"{path}: vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}"

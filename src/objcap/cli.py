@@ -129,6 +129,8 @@ def _cmd_train(args) -> int:
     try:
         vocab = build_vocab(train_set, min_count=spec["min_count"])
         config = ModelConfig(vocab_size=len(vocab), **_config_args(spec, ModelConfig))
+        if config.variant == "m3" and glove is None:
+            raise ValidationError("an m3 model needs a GLOVE table: set the 'glove' key to its file")
         model = build(config, glove=glove if config.variant == "m3" else None)
         train_config = TrainConfig(**_config_args(spec, TrainConfig))
     except (ValueError, MemoryError, OverflowError) as e:  # a bad or too large setting
@@ -175,12 +177,9 @@ def _cmd_caption(args) -> int:
         raise ValidationError(f"record id {args.record_id!r} not found in {args.records}")
     try:
         enc = encode(model, example_from_record(matches[0], vocab, model.config))
-    except ValidationError as e:  # a record that does not fit the model
+        ids = decode_greedy(model, enc) if args.beam is None else decode_beam(model, enc, width=args.beam)
+    except ValidationError as e:  # a record that does not fit the model, or encodes to overflow
         raise ValidationError(f"{args.records} with {args.checkpoint}: {e}") from None
-    if args.beam is not None:
-        ids = decode_beam(model, enc, width=args.beam)
-    else:
-        ids = decode_greedy(model, enc)
     print(" ".join(vocab.token_at(i) for i in ids))
     return 0
 

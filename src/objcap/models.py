@@ -16,14 +16,14 @@ Objects in m3 are canonically ordered by ascending distance from the image
 origin before the convolution, so the encoding is independent of the order
 in which objects arrive.
 
-``encode_batch`` encodes a list of images in one pass and ``encode`` is its
+``encode_batch`` encodes a list of images in one pass per variant, as the
+rows of one n*encoding_dim matrix; ``encode`` and ``encode_objects`` are its
 one-image case. Every encoder product (m3's reduce over all objects and its
 convolution over all objects' kernel-3 windows, m1/m2's reduce over all
-images) runs over zero-padded blocks of ENCODE_BLOCK rows, and each image is
-pooled from its own rows in order. A row of a fixed-size block product does
-not depend on its block mates or its position, so an image's encoding has
-the same bits alone or in any batch; it can differ from a one-row product's
-by ~1e-15.
+images) runs over zero-padded blocks of ENCODE_BLOCK rows, and m3 pools each
+image from its own rows in order. A block product's row does not depend on
+its block mates or position, so an image's encoding has the same bits alone
+or in any batch; it can differ from a one-row product's by ~1e-15.
 
 Decoding runs on plain arrays and records no tape: ``_init_state`` computes
 the encodings' decoder projection enc @ W[:encoding_dim] once, and each
@@ -51,7 +51,7 @@ from .layers import (
     lstm_unroll,
     vocab_head,
 )
-from .tensor import Tensor, add, concat, scale, slice_axis, take_row, zeros
+from .tensor import Tensor, add, concat, log_softmax, scale, slice_axis, take_row, zeros
 
 VARIANTS = ("m1", "m2", "m3")
 
@@ -245,10 +245,9 @@ def _reduce_blocks(model: Model, feats: np.ndarray) -> list[Tensor]:
     return [dense(model.reduce, Tensor(feats[s : s + ENCODE_BLOCK])) for s in range(0, len(feats), ENCODE_BLOCK)]
 
 
-def _block_row(blocks: list[Tensor], r: int) -> Tensor:
-    """Row ``r`` of the rows that ``blocks`` hold in order."""
-    i = r % ENCODE_BLOCK
-    return slice_axis(blocks[r // ENCODE_BLOCK], 0, i, i + 1)
+def _stack(rows: list[Tensor]) -> Tensor:
+    """``rows`` stacked into one matrix; a single matrix is returned as it is."""
+    return rows[0] if len(rows) == 1 else concat(rows, axis=0)
 
 
 def _canonical_objects(model: Model, objects) -> list[tuple[np.ndarray, str, float]]:
@@ -286,10 +285,10 @@ def _fused_table(model: Model, images: list[list]) -> Tensor:
     return concat([concat(reduced, axis=0), Tensor(labels)], axis=1)
 
 
-def _object_rows(model: Model, images: list) -> list[Tensor]:
-    """The joint m3 encoding of each image, a 1*fused_dim row: fuse per
-    object, convolve across the image's object axis (kernel 3, same padding,
-    fused -> fused channels), then add its rows in order and scale by 1/k."""
+def _object_encodings(model: Model, images: list) -> Tensor:
+    """The joint m3 encodings of ``images``, one row each: fuse per object,
+    convolve across each image's object axis (kernel 3, same padding, fused
+    -> fused channels), then add the image's rows in order and scale by 1/k."""
     images = [_canonical_objects(model, objects) for objects in images]
     table = _fused_table(model, images)
     zero = table.shape[0] - 1
@@ -301,22 +300,22 @@ def _object_rows(model: Model, images: list) -> list[Tensor]:
         for j in range(len(image)):
             windows[r] = (r - 1 if j > 0 else zero, r, r + 1 if j + 1 < len(image) else zero)
             r += 1
-    conv = [
+    conv = _stack([
         dense(model.object_conv, concat([take_row(table, windows[s : s + ENCODE_BLOCK, c]) for c in range(3)], axis=1))
         for s in range(0, zero, ENCODE_BLOCK)
-    ]
+    ])
     rows, start = [], 0
     for image in images:
-        pooled = _block_row(conv, start)
+        pooled = slice_axis(conv, 0, start, start + 1)
         for r in range(start + 1, start + len(image)):
-            pooled = add(pooled, _block_row(conv, r))
+            pooled = add(pooled, slice_axis(conv, 0, r, r + 1))
         rows.append(scale(pooled, 1.0 / len(image)))
         start += len(image)
-    return rows
+    return _stack(rows)
 
 
-def _visual_rows(model: Model, visuals: list) -> list[Tensor]:
-    """The m1/m2 encoding of each whole-image feature vector, a 1*reduced_dim row."""
+def _visual_encodings(model: Model, visuals: list) -> Tensor:
+    """The m1/m2 encodings of whole-image feature vectors, one row each."""
     cfg = model.config
     feats = np.zeros((_padded(len(visuals)), cfg.visual_dim))
     for i, visual in enumerate(visuals):
@@ -324,8 +323,7 @@ def _visual_rows(model: Model, visuals: list) -> list[Tensor]:
         if visual.shape != (cfg.visual_dim,):
             raise ValidationError(f"visual feature shape {visual.shape} != ({cfg.visual_dim},)")
         feats[i] = visual
-    blocks = _reduce_blocks(model, feats)
-    return [_block_row(blocks, i) for i in range(len(visuals))]
+    return slice_axis(_stack(_reduce_blocks(model, feats)), 0, 0, len(visuals))
 
 
 def fuse_objects(model: Model, objects) -> list[Tensor]:
@@ -336,32 +334,26 @@ def fuse_objects(model: Model, objects) -> list[Tensor]:
     return [slice_axis(table, 0, j, j + 1) for j in range(len(objects))]
 
 
-def encode_objects(model: Model, objects) -> Tensor:
-    """Joint m3 encoding of one image's objects: the one-image case of ``encode_batch``."""
-    return _object_rows(model, [objects])[0]
-
-
-def encode(model: Model, example: CaptionExample) -> Tensor:
-    """The fixed per-image encoding fed to the decoder at every step: the
-    one-image case of ``encode_batch``, bit for bit."""
-    _check_example(model, example)
-    if model.config.variant == "m3":
-        return encode_objects(model, example.objects)
-    return _visual_rows(model, [example.visual])[0]
-
-
 def encode_batch(model: Model, examples: list[CaptionExample]) -> Tensor:
-    """The encodings of ``examples``, one row per image (n * encoding_dim),
-    each row equal to that image's ``encode``."""
+    """The encodings of ``examples``, one row per image (n * encoding_dim):
+    the fixed per-image encoding fed to the decoder at every step."""
     if not examples:
         raise ValidationError("need at least one example to encode")
     for example in examples:
         _check_example(model, example)
     if model.config.variant == "m3":
-        rows = _object_rows(model, [example.objects for example in examples])
-    else:
-        rows = _visual_rows(model, [example.visual for example in examples])
-    return concat(rows, axis=0)
+        return _object_encodings(model, [example.objects for example in examples])
+    return _visual_encodings(model, [example.visual for example in examples])
+
+
+def encode(model: Model, example: CaptionExample) -> Tensor:
+    """One image's encoding, a 1 * encoding_dim row: ``encode_batch`` of one example."""
+    return encode_batch(model, [example])
+
+
+def encode_objects(model: Model, objects) -> Tensor:
+    """Joint m3 encoding of one image's objects, a 1 * fused_dim row."""
+    return _object_encodings(model, [objects])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +426,7 @@ class _DecodeState:
 def _init_state(model: Model, encodings: Tensor) -> _DecodeState:
     """The zero state of one row per row of the n*encoding_dim
     ``encodings``. Their decoder input projection is computed here, once for
-    every step that decodes them."""
+    every step that decodes them; one that is not finite is refused."""
     cfg = model.config
     enc = encodings.data
     if enc.ndim != 2 or not enc.shape[0] or enc.shape[1] != cfg.encoding_dim:
@@ -442,8 +434,11 @@ def _init_state(model: Model, encodings: Tensor) -> _DecodeState:
             f"encodings must be n*encoding_dim rows (n >= 1, encoding_dim {cfg.encoding_dim}), got shape {enc.shape}"
         )
     n = enc.shape[0]
+    ctx = enc @ _decoder(model).W.data[: cfg.encoding_dim]
+    if not np.isfinite(ctx).all():
+        raise ValidationError("the encodings or their decoder input projection hold NaN or infinite values")
     return _DecodeState(
-        ctx=enc @ _decoder(model).W.data[: cfg.encoding_dim],
+        ctx=ctx,
         h_lang=np.zeros((n, cfg.lang_hidden)),
         c_lang=np.zeros((n, cfg.lang_hidden)),
         h_dec=np.zeros((n, cfg.decoder_hidden)),
@@ -474,12 +469,6 @@ def decode_step(model: Model, state: _DecodeState, tokens: np.ndarray) -> tuple[
     h_dec, c_dec = lstm_step_array(dec, dec_in, state.h_dec, state.c_dec)
     logits = h_dec @ head.weight.data[: cfg.decoder_hidden] + head.bias.data
     return logits, _DecodeState(state.ctx, h_lang, c_lang, h_dec, c_dec)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis: one row, or each row of a matrix."""
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
 
 
 def decode_greedy_batch(model: Model, encodings: Tensor, max_len: int | None = None) -> list[list[int]]:
@@ -573,7 +562,7 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
 
     for it in range(max_len):
         logits, state = decode_step(model, state.take(rows), np.array(tokens))
-        lsm = _log_softmax(logits)
+        lsm = log_softmax(logits)
         # after the last step every kept hypothesis is terminal by cutoff
         last = it == max_len - 1
         cand_sums = sums[:, None] + lsm[: len(emitted)]

@@ -49,6 +49,7 @@ __all__ = [
     "mul",
     "scale",
     "glorot_uniform",
+    "log_softmax",
     "sigmoid",
     "slice_axis",
     "softmax",
@@ -434,34 +435,38 @@ def _as_vector(x: Tensor, opname: str) -> np.ndarray:
     raise ValueError(f"{opname} requires a vector or single row, got shape {x.shape}")
 
 
+def _log_sum_exp(v: np.ndarray) -> np.ndarray:
+    """log(sum(exp(v))) over the last axis, kept as a length-1 axis, without overflow."""
+    m = v.max(axis=-1, keepdims=True)
+    return m + np.log(np.exp(v - m).sum(axis=-1, keepdims=True))
+
+
+def log_softmax(v: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis (one row, or each row of a matrix), without a tape."""
+    return v - _log_sum_exp(v)
+
+
 def softmax(x: Tensor) -> Tensor:
     """Stable softmax over a vector (or single row), preserving shape."""
-    v = _as_vector(x, "softmax")
-    e = np.exp(v - v.max())
-    s = (e / e.sum()).reshape(x.shape)
+    s = np.exp(log_softmax(_as_vector(x, "softmax"))).reshape(x.shape)
 
     def bw(g: np.ndarray):
-        gf = g.reshape(-1)
-        sf = s.reshape(-1)
-        return ((sf * (gf - float(gf @ sf))).reshape(x.shape),)
+        return (s * (g - float(g.reshape(-1) @ s.reshape(-1))),)
 
     return _record((x,), s, bw)
 
 
 def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target] in fused log-sum-exp form. Scalar output."""
+    """-log_softmax(logits)[target] to the bit, from the log-sum-exp alone: no V-vector is kept."""
     v = _as_vector(logits, "cross_entropy")
     target = int(target)
     if not (0 <= target < v.shape[0]):
         raise ValueError(f"cross_entropy: target {target} out of range for {v.shape[0]} logits")
-    m = v.max()
-    lse = m + np.log(np.exp(v - m).sum())
-    loss = np.asarray(lse - v[target])
-    shape = logits.data.shape
+    lse = _log_sum_exp(v)
 
     def bw(g: np.ndarray):
-        p = np.exp(v - lse)
+        p = np.exp(v - lse)  # exp(log_softmax(logits)), to the bit
         p[target] -= 1.0
-        return ((p * float(g)).reshape(shape),)
+        return ((p * float(g)).reshape(logits.data.shape),)
 
-    return _record((logits,), loss, bw)
+    return _record((logits,), np.asarray(lse[0] - v[target]), bw)

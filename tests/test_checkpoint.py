@@ -152,6 +152,30 @@ def test_non_string_vocab_token_rejected(tmp_path, token):
     assert str(path) in str(e.value)
 
 
+def test_duplicate_vocab_token_rejected_naming_the_file(tmp_path, capsys):
+    # the hash is recomputed, so only the vocabulary itself can refuse the repeat
+    _, glove, vocab, model = trained_setup(tmp_path)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, vocab)
+
+    def repeat_token(header):
+        header["vocab_tokens"][5] = header["vocab_tokens"][4]
+        header["vocab_sha256"] = vocab_fingerprint(header["vocab_tokens"])
+        return header
+
+    rewrite(path, repeat_token)
+    with pytest.raises(CheckpointError, match="duplicate tokens") as e:
+        load_checkpoint(path, glove=glove)
+    assert str(path) in str(e.value)
+    records = tmp_path / "records.jsonl"
+    glove_path = tmp_path / "glove.txt"
+    write_records(records, synth_corpus(seed=4, n_images=5, n_labels=3, visual_dim=6, glove_dim=4)[0])
+    write_glove(glove_path, glove)
+    assert main(["eval", "--checkpoint", str(path), "--test", str(records), "--glove", str(glove_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "duplicate tokens" in err and "Traceback" not in err
+
+
 def test_unsupported_version_rejected(tmp_path):
     _, glove, vocab, model = trained_setup(tmp_path)
     path = tmp_path / "ck.json"

@@ -6,6 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from test_checkpoint import rewrite
 from objcap import cli
 from objcap.checkpoint import save_checkpoint
 from objcap.cli import load_runspec, main
-from objcap.data import ValidationError, build_vocab, load_glove, load_records
+from objcap.data import ValidationError, build_vocab, load_glove, load_records, write_records
 from objcap.models import MAX_CAPTION_LEN, ModelConfig, build
 from objcap.training import TrainConfig
 
@@ -605,6 +606,40 @@ def test_records_that_do_not_fit_the_model_name_both_files(tmp_path, capsys, com
     assert main(args) == 1
     err = capsys.readouterr().err
     assert str(records) in err and str(checkpoint) in err and "visual_dim" in err
+
+
+@pytest.mark.parametrize("command", ["caption", "eval"])
+def test_records_that_encode_to_overflow_exit_1_naming_the_records_file(tmp_path, capsys, command):
+    # finite features whose reduce products overflow: the encodings hold NaN
+    checkpoint, _ = untrained_caption_args(tmp_path)
+    records = load_records(tmp_path / "data" / "records.jsonl")
+    for rec in records:
+        for obj in rec.objects:
+            obj.feature[:] = 1.7e308
+    path = tmp_path / "overflow.jsonl"
+    write_records(path, records)
+    glove = ["--glove", str(tmp_path / "data" / "glove.txt")]
+    if command == "eval":
+        args = ["eval", "--checkpoint", str(checkpoint), "--test", str(path)] + glove
+    else:
+        args = ["caption", "--checkpoint", str(checkpoint), "--records", str(path),
+                "--record-id", records[0].id] + glove
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert str(path) in err and "NaN or infinite" in err and "Traceback" not in err
+    assert "<pad>" not in out
+
+
+def test_train_m3_without_glove_exits_1_naming_the_config_key(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    main(synth_args(data_dir))
+    config = tmp_path / "run.json"
+    write_runspec(config, data_dir, tmp_path / "run", glove=None)
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and "'glove'" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()  # it failed before training
 
 
 def test_train_unallocatable_dimensions_exit_1_naming_the_config(tmp_path, capsys):

@@ -22,10 +22,11 @@ from objcap.models import (
     forward_teacher_forced,
     fuse_objects,
     _init_state,
-    _log_softmax,
 )
 from objcap.layers import bilstm, dense, embed, lstm_unroll, vocab_head
-from objcap.tensor import Tape, Tensor, add, backward, concat, cross_entropy, mul, scale, softmax, sum_all, zeros
+from objcap.tensor import (
+    Tape, Tensor, add, backward, concat, cross_entropy, log_softmax, mul, scale, softmax, sum_all, zeros,
+)
 from objcap.data import synth_corpus, build_vocab
 from gradcheck import assert_close, finite_diff_check, reference_backward
 
@@ -326,7 +327,16 @@ def test_batch_encoding_rows_equal_encode(name):
     batch = encode_batch(model, examples)
     assert batch.shape == (n, model.config.encoding_dim)
     for i, ex in enumerate(examples):
-        assert np.array_equal(batch.data[i : i + 1], encode(model, ex).data)
+        alone = [encode(model, ex), encode_batch(model, [ex])]
+        if model.config.variant == "m3":
+            alone.append(encode_objects(model, ex.objects))
+        for enc in alone:
+            assert enc.shape == (1, model.config.encoding_dim)
+            assert np.array_equal(batch.data[i : i + 1], enc.data)
+    for start, stop in ((0, 1), (1, ENCODE_BLOCK + 2), (ENCODE_BLOCK - 1, n)):
+        part = encode_batch(model, examples[start:stop])
+        assert part.shape == (stop - start, model.config.encoding_dim)
+        assert np.array_equal(part.data, batch.data[start:stop])
 
 
 def test_encode_batch_errors():
@@ -784,7 +794,7 @@ def enumerate_best(model, encoding, max_len):
 
     def walk(state, prev_tok, tokens, lp_sum, depth):
         logits, new_state = step_one(model, state, prev_tok)
-        lps = _log_softmax(logits)
+        lps = log_softmax(logits)
         for tok in range(model.config.vocab_size):
             lp = lp_sum + float(lps[tok])
             emitted = tokens + (tok,)
@@ -872,12 +882,12 @@ def sequence_score(model, encoding, tokens, max_len=None):
     total = 0.0
     for tok in tokens:
         logits, state = step_one(model, state, prev)
-        total = total + float(_log_softmax(logits)[tok])
+        total = total + float(log_softmax(logits)[tok])
         prev = tok
     emitted = len(tokens)
     if len(tokens) < max_len:
         logits, state = step_one(model, state, prev)
-        total = total + float(_log_softmax(logits)[END])
+        total = total + float(log_softmax(logits)[END])
         emitted += 1
     return total / emitted
 
@@ -888,7 +898,7 @@ def reference_pool_best(model, encoding, width, max_len=None):
     if max_len is None:
         max_len = model.config.max_caption_len
     logits, state = step_one(model, _init_state(model, encoding), START)
-    alive = [((), 0.0, state, _log_softmax(logits))]
+    alive = [((), 0.0, state, log_softmax(logits))]
     finished = []
     for it in range(max_len):
         if not alive:
@@ -916,7 +926,7 @@ def reference_pool_best(model, encoding, width, max_len=None):
                 finished.append((norm, emitted))
             else:
                 logits, new_state = step_one(model, parent_state, tok)
-                alive.append((emitted, lp, new_state, _log_softmax(logits)))
+                alive.append((emitted, lp, new_state, log_softmax(logits)))
     return min(finished, key=lambda entry: (-entry[0], entry[1]))
 
 

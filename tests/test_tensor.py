@@ -14,6 +14,7 @@ from objcap.tensor import (
     concat,
     cross_entropy,
     glorot_uniform,
+    log_softmax,
     matmul,
     mul,
     scale,
@@ -158,6 +159,21 @@ def test_softmax_sums_to_one_and_shift_invariance():
         assert np.all(s.data > 0)
         shifted = softmax(Tensor(v + 7.25))
         assert np.allclose(s.data, shifted.data, atol=1e-12)
+
+
+def test_log_softmax_rows_and_the_ops_that_read_it():
+    # each row of a matrix is that row alone; softmax is its exp and
+    # cross_entropy its negated target entry, to the bit
+    rng = np.random.default_rng(12)
+    rows = rng.uniform(-30, 30, (5, 7))
+    lsm = log_softmax(rows)
+    for row, want in zip(rows, lsm):
+        assert np.array_equal(log_softmax(row), want)
+        assert np.array_equal(softmax(Tensor(row)).data, np.exp(want))
+        for t in range(row.size):
+            assert cross_entropy(Tensor(row), t).item() == -want[t]
+    assert np.allclose(np.exp(lsm).sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(log_softmax(np.array([1000.0, 1000.0])), -math.log(2.0), rtol=0, atol=1e-12)
 
 
 def test_cross_entropy_uniform_cases():
