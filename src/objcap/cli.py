@@ -5,7 +5,9 @@ JSON into the records format, ``synth`` emits a synthetic corpus, ``train``
 runs a config-file-driven training job, ``eval`` scores a checkpoint,
 ``caption`` decodes a single record, and ``bleu`` scores token files.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes: 0 success, 1 validation failure, 2 usage error. Every command
+runs with numpy's floating-point warnings off: an input that overflows is
+refused by the program's own finiteness checks, with a message naming it.
 """
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ import argparse
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from .bleu import corpus_bleu
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -135,12 +139,12 @@ def _cmd_train(args) -> int:
         train_config = TrainConfig(**_config_args(spec, TrainConfig))
     except (ValueError, MemoryError, OverflowError) as e:  # a bad or too large setting
         raise ValidationError(f"{args.config}: {e}") from None
-    try:  # every record, so none fails after training has begun
+    try:  # every record first, so none fails to fit after training has begun
         for rec in records:
             example_from_record(rec, vocab, config)
-    except ValidationError as e:  # a record that does not fit the model
+        history = train(model, train_set, val_set, train_config, vocab)
+    except ValidationError as e:  # a record that does not fit the model, or a batch that is not finite
         raise ValidationError(f"{spec['records']}: {e}") from None
-    history = train(model, train_set, val_set, train_config, vocab)
     out_dir = Path(spec["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "checkpoint.json", model, vocab)
@@ -277,7 +281,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the finiteness checks name an input that overflows
+            return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

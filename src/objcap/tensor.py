@@ -5,24 +5,23 @@ eagerly and, when a Tape is active and some operand requires a gradient,
 records a node holding the local backward rule. ``backward`` replays the
 tape in reverse, accumulating gradients additively across fan-out.
 
-A rule returns, per input, an array, a factor or None. A fresh array (built
-by the rule, neither the output's gradient nor a view) becomes an input's
-first gradient as it is; a pass-through or view gradient (``add``'s
-``g, g``, ``concat``'s pieces) is copied first, so no two tensors share a
-gradient array. ``slice_axis`` returns its gradient as a factor ``(idx, g)``
-that is added into the rows it came from, so the T row slices of a
-``(T, V)`` matrix cost T·V, not T²·V.
+Every gradient array has one owner. A rule returns, per input, an array, a
+factor or None; an array becomes its receiver's gradient as it is, or is
+added into the one it has. ``add`` is the only rule that hands one array to
+two inputs, so it hands the second a copy; ``concat`` hands out disjoint
+views of its output's gradient, which that output no longer holds. A
+tensor produced on the tape loses its gradient as soon as its node has
+run, so after ``backward`` only leaves (tensors not produced on the tape
+being replayed, such as model parameters) hold one.
 
-A leaf (a tensor not produced on the tape being replayed, such as a model
-parameter) gets its gradient once, after the replay. The right operand of
-``matmul``, the table of ``take_row`` and the input of ``slice_axis``
-receive their gradients as factors: a weight used at every step of a
-sequence collects its ``(a, g)`` pairs and gets one
-``concat(a).T @ concat(g)`` product, a table collects its ``(rows, g)``
-pairs and gets one scatter-add into one zeros array, and a sliced leaf gets
-its pieces added into one zeros array. Tensors produced on the tape get each
-factored gradient at once, since their own node needs the full sum when it
-is replayed.
+The right operand of ``matmul``, the table of ``take_row`` and the input of
+``slice_axis`` receive their gradients as factors, which wait for their
+tensor in one dict and are summed once, one dense sum per kind: just before
+the tensor's own node is replayed, or after the replay for a leaf. A weight
+used at every step of a sequence gets one ``concat(a).T @ concat(g)``
+product, a table one scatter-add into one zeros array, and a sliced tensor
+its pieces added into one zeros array, so the T row slices of a ``(T, V)``
+matrix cost T·V, not T²·V.
 
 The tape alone holds a graph and no tensor refers back to it, so a replayed
 tape is freed by reference counting with its last name, outputs alive or not.
@@ -65,7 +64,9 @@ class Tensor:
     """A dense float64 array with an optional accumulated gradient.
 
     ``data`` is always C-contiguous float64. ``grad`` is either None or an
-    array of identical shape, filled in by ``backward``.
+    array of identical shape that no other tensor's gradient shares, filled
+    in by ``backward`` on a leaf; a tensor produced on the replayed tape
+    holds it only until its own node has run.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -144,13 +145,12 @@ def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Te
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool) -> None:
-    """Add ``g`` into ``t.grad``. A ``fresh`` array, built for this call and
-    held by nothing else, becomes the first gradient as it is; any other is
-    copied, since a rule may return one array twice (``add``'s ``g, g``) or
-    a view of another gradient (``concat``'s pieces)."""
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``; the first ``g`` becomes the gradient as it
+    is. ``g`` must be owned by no other tensor: every rule hands each array
+    it returns to one input."""
     if t.grad is None:
-        t.grad = g if fresh else g.copy()
+        t.grad = g
     else:
         t.grad += g
 
@@ -195,41 +195,38 @@ class _Slice(NamedTuple):
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Fill ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Fill ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    A gradient lives on its tensor until the caller sets ``grad`` to None:
+    A leaf's gradient lives on it until the caller sets ``grad`` to None:
     gradients accumulate additively across fan-out and across calls, so
     callers clear stale grads before reusing parameters on a fresh tape.
-    A leaf (no node's output on ``tape``) gets the factored gradients of its
-    matmul, take_row and slice_axis uses as one dense sum per kind after the
-    replay, in replay order; its other gradients, and every gradient of a
-    tensor produced on ``tape``, are added as their nodes are replayed.
+    A tensor produced on ``tape`` holds its gradient only until its node has
+    run, then ``grad`` is None again. Factored gradients (matmul, take_row
+    and slice_axis uses) wait in one dict and are summed per kind, in replay
+    order, before their tensor's node runs or, for a leaf, after the replay.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    produced = {out for _, out, _ in tape.nodes}
-    if loss not in produced:
+    if not any(out is loss for _, out, _ in reversed(tape.nodes)):
         raise ValueError("loss was not produced on this tape")
     loss.grad = np.ones_like(loss.data)
-    deferred: dict[tuple[int, type], tuple[Tensor, list]] = {}
+    factored: dict[Tensor, dict[type, list]] = {}
     for inputs, out, backward_fn in reversed(tape.nodes):
-        out_grad = out.grad
+        for parts in factored.pop(out, {}).values():  # its factored gradients, now complete
+            _accumulate(out, parts[0].dense(parts, out.data.shape))
+        out_grad, out.grad = out.grad, None
         if out_grad is None:
             continue
-        grads = backward_fn(out_grad)
-        for inp, g in zip(inputs, grads):
+        for inp, g in zip(inputs, backward_fn(out_grad)):
             if g is None or not inp.requires_grad:
                 continue
-            if not isinstance(g, tuple):
-                _accumulate(inp, g, fresh=g is not out_grad and g.base is None)
-            elif inp not in produced:
-                deferred.setdefault((id(inp), type(g)), (inp, []))[1].append(g)
-            elif type(g) is _Slice and inp.grad is not None:
-                inp.grad[g.idx] += g.g
+            if isinstance(g, tuple):
+                factored.setdefault(inp, {}).setdefault(type(g), []).append(g)
             else:
-                _accumulate(inp, g.dense([g], inp.data.shape), fresh=True)
-    for inp, parts in deferred.values():
-        _accumulate(inp, parts[0].dense(parts, inp.data.shape), fresh=True)
+                _accumulate(inp, g)
+    for t, kinds in factored.items():  # the leaves'
+        for parts in kinds.values():
+            _accumulate(t, parts[0].dense(parts, t.data.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +277,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("add", a, b)
 
     def bw(g: np.ndarray):
-        return g, g
+        # each input owns its gradient: the second gets a copy
+        return g, g.copy()
 
     return _record((a, b), a.data + b.data, bw)
 

@@ -199,7 +199,8 @@ def train(
     Each record contributes its first caption as the training target; the
     remaining captions serve as extra references at evaluation time. A
     batch whose loss or gradient norm is not finite raises ValidationError
-    naming the epoch and the batch, before it updates the weights.
+    naming the epoch, the batch and its record ids, before it updates the
+    weights.
     Each batch's images are encoded in one ``encode_batch``, whose rows have
     the bits of encoding each image alone. Gradients live for one optimizer
     step: the model comes back without any.
@@ -236,8 +237,9 @@ def train(
             nats = batch_sum.item()
             if not (math.isfinite(nats) and math.isfinite(norm)):
                 raise ValidationError(
-                    f"epoch {epoch}, batch {start // config.batch_size + 1}: non-finite "
-                    f"training loss {nats} or gradient norm {norm}; the weights were not updated"
+                    f"epoch {epoch}, batch {start // config.batch_size + 1}: non-finite training "
+                    f"loss {nats} or gradient norm {norm} for records {[train_set[i].id for i in batch]}; "
+                    f"the weights were not updated"
                 )
             opt.step()
             for p in model.params.values():

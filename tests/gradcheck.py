@@ -1,6 +1,6 @@
 """Gradient checkers shared by the test modules: central finite differences,
-and the per-node accumulation that ``backward``'s deferred leaf gradients
-are compared against."""
+the per-node accumulation that ``backward``'s deferred gradients are
+compared against, and the one-owner rule ``backward`` leaves behind."""
 import numpy as np
 
 from objcap.tensor import Tape, _Outer, _Rows, _Slice, backward
@@ -65,6 +65,20 @@ def reference_backward(loss, tape):
                 inp.grad = g.copy()
             else:
                 inp.grad += g
+
+
+def assert_leaves_alone_hold_gradients(tape):
+    """After ``backward``: every tensor produced on ``tape`` has ``grad``
+    None, and no two gradients of its leaves share memory. Returns the
+    leaves that hold a gradient."""
+    produced = {id(out) for _, out, _ in tape.nodes}
+    assert all(out.grad is None for _, out, _ in tape.nodes)
+    leaves = {id(t): t for inputs, _, _ in tape.nodes for t in inputs if id(t) not in produced}
+    held = [t for t in leaves.values() if t.grad is not None]
+    for k, a in enumerate(held):
+        for b in held[k + 1 :]:
+            assert not np.shares_memory(a.grad, b.grad)
+    return held
 
 
 def assert_close(got, want, rel):

@@ -1,9 +1,12 @@
+import ast
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from test_checkpoint import rewrite
 from objcap import cli
 from objcap.checkpoint import save_checkpoint
 from objcap.cli import load_runspec, main
-from objcap.data import ValidationError, build_vocab, load_glove, load_records, write_records
+from objcap.data import ValidationError, build_vocab, load_glove, load_records, split_dataset, write_records
 from objcap.models import MAX_CAPTION_LEN, ModelConfig, build
 from objcap.training import TrainConfig
 
@@ -608,27 +611,60 @@ def test_records_that_do_not_fit_the_model_name_both_files(tmp_path, capsys, com
     assert str(records) in err and str(checkpoint) in err and "visual_dim" in err
 
 
-@pytest.mark.parametrize("command", ["caption", "eval"])
-def test_records_that_encode_to_overflow_exit_1_naming_the_records_file(tmp_path, capsys, command):
+def overflow_args(tmp_path, command):
+    """``command``'s arguments over a copy of a synthetic corpus whose
+    features all overflow the encoder, and the copy's path."""
     # finite features whose reduce products overflow: the encodings hold NaN
     checkpoint, _ = untrained_caption_args(tmp_path)
-    records = load_records(tmp_path / "data" / "records.jsonl")
+    data_dir = tmp_path / "data"
+    records = load_records(data_dir / "records.jsonl")
     for rec in records:
         for obj in rec.objects:
             obj.feature[:] = 1.7e308
     path = tmp_path / "overflow.jsonl"
     write_records(path, records)
-    glove = ["--glove", str(tmp_path / "data" / "glove.txt")]
+    glove = ["--glove", str(data_dir / "glove.txt")]
+    if command == "train":
+        config = tmp_path / "run.json"
+        write_runspec(config, data_dir, tmp_path / "run", records=str(path))
+        return ["train", "--config", str(config)], path
     if command == "eval":
-        args = ["eval", "--checkpoint", str(checkpoint), "--test", str(path)] + glove
-    else:
-        args = ["caption", "--checkpoint", str(checkpoint), "--records", str(path),
-                "--record-id", records[0].id] + glove
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(args) == 1
+        return ["eval", "--checkpoint", str(checkpoint), "--test", str(path)] + glove, path
+    return ["caption", "--checkpoint", str(checkpoint), "--records", str(path),
+            "--record-id", records[0].id] + glove, path
+
+
+@pytest.mark.parametrize("command", ["caption", "eval"])
+def test_records_that_encode_to_overflow_exit_1_naming_the_records_file(tmp_path, capsys, command):
+    args, path = overflow_args(tmp_path, command)
+    assert main(args) == 1
     out, err = capsys.readouterr()
     assert str(path) in err and "NaN or infinite" in err and "Traceback" not in err
     assert "<pad>" not in out
+
+
+def test_train_on_records_that_encode_to_overflow_exits_1_naming_the_file_and_batch(tmp_path, capsys):
+    args, path = overflow_args(tmp_path, "train")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "epoch 1, batch 1: non-finite" in err and "Traceback" not in err
+    # the first batch's record ids: batch_size of the training split's records
+    batch = ast.literal_eval(re.search(r"for records (\[.*?\])", err).group(1))
+    train_set, _, _ = split_dataset(load_records(path), seed=0)
+    assert len(batch) == 4 and set(batch) <= {rec.id for rec in train_set}
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["caption", "eval", "train"])
+def test_records_that_encode_to_overflow_raise_no_numpy_warning(tmp_path, capsys, command):
+    # the finiteness checks report the input; numpy's overflow warnings would
+    # only print lines of the package before the error
+    args, _ = overflow_args(tmp_path, command)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 1
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
+    assert "Warning" not in capsys.readouterr().err
 
 
 def test_train_m3_without_glove_exits_1_naming_the_config_key(tmp_path, capsys):

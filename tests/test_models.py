@@ -28,7 +28,7 @@ from objcap.tensor import (
     Tape, Tensor, add, backward, concat, cross_entropy, log_softmax, mul, scale, softmax, sum_all, zeros,
 )
 from objcap.data import synth_corpus, build_vocab
-from gradcheck import assert_close, finite_diff_check, reference_backward
+from gradcheck import assert_close, assert_leaves_alone_hold_gradients, finite_diff_check, reference_backward
 
 
 def tiny_glove(dim=2, seed=0):
@@ -411,8 +411,14 @@ def test_encoder_gradients_match_per_object_reference(name):
                 enc = concat(list(encodings), axis=0)
             loss = sum_all(mul(enc, weights))
         backward(loss, tape)
+        assert_leaves_alone_hold_gradients(tape)
         values[run] = enc.data
         grads[run] = {name: model.params[name].grad for name in ENCODER_PARAMS}
+        # the fused rows are produced on the tape, so backward leaves them no
+        # gradient: the per-node reference, which keeps every one, replays the same tape
+        for p in model.params.values():
+            p.grad = None  # leaves the arrays read above as backward made them
+        reference_backward(loss, tape)
         if run == "batch":
             # the fused rows: the table every convolution window is taken from
             tables = {id(inputs[0]): inputs[0] for inputs, _, rule in tape.nodes

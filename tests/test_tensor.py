@@ -26,7 +26,7 @@ from objcap.tensor import (
     tanh,
     zeros,
 )
-from gradcheck import assert_close, finite_diff_check, reference_backward
+from gradcheck import assert_close, assert_leaves_alone_hold_gradients, finite_diff_check, reference_backward
 
 
 def test_tensor_rejects_nonfinite():
@@ -261,6 +261,20 @@ def test_backward_copies_a_gradient_returned_twice():
     assert np.array_equal(w.grad, [1.0])
 
 
+def test_a_second_backward_on_one_tape_adds_the_same_gradients():
+    # the first replay leaves no produced tensor a gradient, so the second
+    # starts from the loss alone and adds the same leaf gradients again
+    rng = np.random.default_rng(10)
+    x, w = leaf(rng, (2, 3)), leaf(rng, (3, 2))
+    with Tape() as tape:
+        h = tanh(matmul(x, w))
+        loss = sum_all(mul(h, slice_axis(concat([h, h], axis=1), 1, 1, 3)))
+    backward(loss, tape)
+    once = [x.grad.copy(), w.grad.copy()]
+    backward(loss, tape)
+    assert np.array_equal(x.grad, 2 * once[0]) and np.array_equal(w.grad, 2 * once[1])
+
+
 def test_tensor_has_no_tape_attribute():
     # only the tape refers to its graph: an output holds no tape
     x = Tensor([1.0], requires_grad=True)
@@ -282,6 +296,7 @@ def test_replayed_tape_dies_with_its_name():
             loss = sum_all(mul(h, h))
         backward(loss, tape)
         assert tape.nodes[-1][1] is loss  # still readable after backward
+        held = assert_leaves_alone_hold_gradients(tape)
         ref = weakref.ref(tape)
         del tape
         alive = ref() is not None
@@ -289,7 +304,11 @@ def test_replayed_tape_dies_with_its_name():
         if enabled:
             gc.enable()
     assert not alive
-    assert loss.grad is not None and h.grad is not None and w.grad is not None
+    # the produced tensors gave up their gradients as their nodes ran; the leaves keep theirs
+    assert loss.grad is None and h.grad is None and {id(t) for t in held} == {id(x), id(w)}
+    dz = 2.0 * h.data * (1.0 - h.data * h.data)
+    assert_close(w.grad, x.data.T @ dz, 1e-15)
+    assert_close(x.grad, dz @ w.data.T, 1e-15)
 
 
 def test_no_tape_means_no_recording():
@@ -600,6 +619,17 @@ def graph_overlapping_slices(x, w, b, v):
     return add(sum_all(tanh(cols)), add(sum_all(rows), sum_all(mul(t, w))))
 
 
+def graph_produced_factors(x, w, b, v):
+    # t is produced on the tape and is a take_row table, a matmul right
+    # operand, sliced and a matmul left operand: every factored kind waits
+    # for t's node beside a direct gradient
+    t = tanh(mul(x, w))
+    rows = take_row(t, np.array([1, 0, 1]))
+    mixed = sum_all(tanh(matmul(slice_axis(rows, 1, 0, 2), t)))
+    picked = sum_all(mul(slice_axis(t, 0, 1, 2), tanh(take_row(t, 1))))
+    return add(mixed, add(picked, sum_all(matmul(t, v))))
+
+
 def graph_leaf_slices(x, w, b, v):
     # w is a leaf: its slices take the deferred path, its mul the direct one
     left, right = slice_axis(w, 1, 0, 2), slice_axis(w, 1, 1, 3)
@@ -610,7 +640,7 @@ def graph_leaf_slices(x, w, b, v):
 
 REPLAY_GRAPHS = [
     graph_add_self, graph_mul_self, graph_concat_self, graph_add_rowvector,
-    graph_fan_out, graph_overlapping_slices, graph_leaf_slices,
+    graph_fan_out, graph_overlapping_slices, graph_leaf_slices, graph_produced_factors,
 ]
 
 
@@ -639,12 +669,9 @@ def test_replay_gives_every_tensor_its_own_gradient_array(graph):
     with Tape() as tape:
         loss = graph(*leaves)
     backward(loss, tape)
-    tensors = {id(t): t for inputs, out, _ in tape.nodes for t in (*inputs, out)}
-    grads = [t.grad for t in tensors.values() if t.grad is not None]
-    assert len(grads) > len(leaves)
-    for k, a in enumerate(grads):
-        for b in grads[k + 1 :]:
-            assert not np.shares_memory(a, b)
+    held = assert_leaves_alone_hold_gradients(tape)
+    used = {id(t) for inputs, _, _ in tape.nodes for t in inputs}
+    assert {id(t) for t in held} == {id(p) for p in leaves if id(p) in used}
 
 
 def test_matmul_gives_no_gradient_to_a_constant_left_operand():
