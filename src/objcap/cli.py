@@ -35,7 +35,7 @@ from .data import (
     write_glove,
     write_records,
 )
-from .models import ModelConfig, build, decode_beam, decode_greedy, encode, example_from_record
+from .models import ModelConfig, build, check_beam_width, decode_beam, decode_greedy, encode, example_from_record
 from .training import TrainConfig, check_max_n, evaluate, train
 
 
@@ -214,13 +214,18 @@ def _cmd_bleu(args) -> int:
     return 0
 
 
-def _max_n(text: str) -> int:
-    """A --max-n value, checked while the arguments are parsed: a bad one is
-    a usage error, reported before any file is read."""
-    try:
-        return check_max_n(int(text))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _checked_int(check):
+    """An argparse type for an int that ``check`` accepts, checked while the
+    arguments are parsed: a bad value is a usage error, reported before any
+    file is read."""
+
+    def parse(text: str) -> int:
+        try:
+            return check(int(text))
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,21 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--glove", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--max-n", type=_max_n, default=4)
+    p.add_argument("--max-n", type=_checked_int(check_max_n), default=4)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("caption", help="decode one record")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--records", required=True)
     p.add_argument("--record-id", required=True)
-    p.add_argument("--beam", type=int, default=None)
+    p.add_argument("--beam", type=_checked_int(check_beam_width), default=None)
     p.add_argument("--glove", default=None)
     p.set_defaults(func=_cmd_caption)
 
     p = sub.add_parser("bleu", help="score hypothesis/reference token files")
     p.add_argument("--hyp", required=True)
     p.add_argument("--refs", required=True)
-    p.add_argument("--max-n", type=_max_n, default=4)
+    p.add_argument("--max-n", type=_checked_int(check_max_n), default=4)
     p.set_defaults(func=_cmd_bleu)
 
     return parser

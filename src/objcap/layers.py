@@ -1,10 +1,12 @@
 """Parameterized building blocks: embeddings, dense projection, LSTMs.
 
 Layers operate on a batch of B rows (shape B*d), each row one independent
-example: training feeds single rows (B = 1). Decoding steps plain arrays
-through ``lstm_step_array``, one row per image for batched greedy decoding,
-and for beam search one row per live hypothesis plus one for its greedy
-fallback. Sequences are plain Python lists of such row blocks.
+example. Training unrolls one caption at a time: a sequence is one row per
+step, given as a list of T 1*d rows or as their (T, d) stack, and an unroll
+projects the whole sequence by W in one product before its first step.
+Decoding steps plain arrays through ``lstm_step_array``, one row per image
+for batched greedy decoding, and for beam search one row per live
+hypothesis plus one for its greedy fallback.
 Parameters live in small dataclasses so models can collect them under
 stable names for checkpointing.
 """
@@ -84,23 +86,28 @@ def lstm_init(input_dim: int, hidden_size: int, rng: np.random.Generator) -> Lst
     )
 
 
-def lstm_step(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+def lstm_step(p: LstmParams, x: Tensor, h: Tensor, c: Tensor, projected: bool = False) -> tuple[Tensor, Tensor]:
     """One step of the standard forget-gate LSTM on B rows: x is B*input_dim,
     h and c are B*hidden. Returns (h', c').
 
-    One ``sigmoid`` covers the whole (B, 4h) preactivation and the i, f and o
-    gates are sliced from it; ``tanh`` runs on the g slice alone. The values
-    and gradients are bit-identical to a sigmoid per gate slice, and a step
-    records 15 tape nodes."""
+    With ``projected`` x is already the input projection x @ W (B*4h), as
+    ``lstm_unroll`` hands each step its row of the sequence's one product;
+    otherwise the step forms that product first. One ``sigmoid`` covers the
+    whole (B, 4h) preactivation and the i, f and o gates are sliced from it;
+    ``tanh`` runs on the g slice alone. The values and gradients are
+    bit-identical to a sigmoid per gate slice, and a step records 15 tape
+    nodes, or 14 given the projection."""
     n = p.hidden_size
     xs, hs, cs = x.data.shape, h.data.shape, c.data.shape
     rows = xs[0] if xs else -1
-    if xs != (rows, p.W.data.shape[0]) or hs != (rows, n) or cs != (rows, n):
+    width = 4 * n if projected else p.W.data.shape[0]
+    if xs != (rows, width) or hs != (rows, n) or cs != (rows, n):
         raise ValueError(
-            f"lstm_step: got x {x.shape}, h {h.shape}, c {c.shape} "
+            f"lstm_step: got {'x @ W' if projected else 'x'} {x.shape}, h {h.shape}, c {c.shape} "
             f"for input_dim {p.W.shape[0]}, hidden {n}"
         )
-    z = add_rowvector(add(matmul(x, p.W), matmul(h, p.U)), p.b)
+    xw = x if projected else matmul(x, p.W)
+    z = add_rowvector(add(xw, matmul(h, p.U)), p.b)
     gates = sigmoid(z)
     i = slice_axis(gates, 1, 0, n)
     f = slice_axis(gates, 1, n, 2 * n)
@@ -124,26 +131,49 @@ def lstm_step_array(p: LstmParams, xw: np.ndarray, h: np.ndarray, c: np.ndarray)
     return gates[:, 3 * n :] * np.tanh(c2), c2
 
 
-def lstm_unroll(p: LstmParams, inputs: list[Tensor]) -> list[Tensor]:
-    """Left-to-right unroll from a zero state; returns the hidden state at every step."""
-    if not inputs:
-        raise ValueError("lstm_unroll: empty input sequence")
-    h = c = zeros((inputs[0].shape[0], p.hidden_size))
-    states = []
-    for x in inputs:
-        h, c = lstm_step(p, x, h, c)
-        states.append(h)
+def _stacked(inputs: list[Tensor] | Tensor) -> Tensor:
+    """A sequence of one-row steps as its (T, d) stack: a list of T 1*d rows
+    is concatenated, and a stack is passed on as it is."""
+    if isinstance(inputs, Tensor):
+        if inputs.data.ndim == 2 and inputs.data.shape[0] > 0:
+            return inputs
+    elif inputs and all(t.data.ndim == 2 and t.data.shape[0] == 1 for t in inputs):
+        return concat(inputs, axis=0)
+    shapes = inputs.shape if isinstance(inputs, Tensor) else [t.shape for t in inputs]
+    raise ValueError(f"lstm_unroll: need one or more 1*d rows or their (T, d) stack, got {shapes}")
+
+
+def lstm_unroll(p: LstmParams, inputs: list[Tensor] | Tensor, reverse: bool = False) -> list[Tensor]:
+    """Unroll from a zero state over a sequence of one-row steps (a list of T
+    1*input_dim rows, or their (T, input_dim) stack); returns the hidden
+    state at every step, in input order. ``reverse`` steps from the last
+    input to the first.
+
+    The whole sequence is projected once, x @ W as one (T, 4h) product, and
+    each ``lstm_step`` takes its row of that product as a view and adds only
+    h @ U. A row of that product can differ from a one-row product by ~1e-16
+    relative, so over two or more steps the states and gradients match a
+    loop of raw-x steps to ~1e-15, not to the bit; one step keeps its bits."""
+    xw = matmul(_stacked(inputs), p.W)
+    steps = xw.shape[0]
+    h = c = zeros((1, p.hidden_size))
+    states: list[Tensor] = [h] * steps
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        h, c = lstm_step(p, slice_axis(xw, 0, t, t + 1), h, c, projected=True)
+        states[t] = h
     return states
 
 
-def bilstm(p_fwd: LstmParams, p_bwd: LstmParams, inputs: list[Tensor]) -> list[Tensor]:
+def bilstm(p_fwd: LstmParams, p_bwd: LstmParams, inputs: list[Tensor] | Tensor) -> list[Tensor]:
     """Bidirectional unroll; output[t] = concat(fwd[t], bwd[t]), aligned.
 
-    The backward stream runs over the reversed inputs and is re-reversed so
-    both halves at position t describe the same input position.
+    Both directions project the same stacked inputs; the backward one steps
+    them from last to first, so both halves at position t describe the same
+    input position.
     """
-    fwd = lstm_unroll(p_fwd, inputs)
-    bwd = lstm_unroll(p_bwd, inputs[::-1])[::-1]
+    x = _stacked(inputs)
+    fwd = lstm_unroll(p_fwd, x)
+    bwd = lstm_unroll(p_bwd, x, reverse=True)
     return [concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
 
 

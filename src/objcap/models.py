@@ -28,7 +28,8 @@ or in any batch; it can differ from a one-row product's by ~1e-15.
 Decoding runs on plain arrays and records no tape: ``_init_state`` computes
 the encodings' decoder projection enc @ W[:encoding_dim] once, and each
 ``decode_step`` adds h_lang @ W[encoding_dim:] to it, where training
-projects concat(enc, h_lang); the logits differ by ~1e-16 relative.
+projects a caption's T rows of concat(enc, h_lang) in one product; the
+logits differ by ~1e-16 relative.
 """
 from __future__ import annotations
 
@@ -366,8 +367,12 @@ def forward_teacher_forced(model: Model, example: CaptionExample, encoding: Tens
     For caption ids [w0..wT] (w0 = <start>, wT = <end>) step t consumes wt
     and produces the logits for w_{t+1}; returns T logit rows of shape 1*V.
     m2 runs its bidirectional decoder over the whole forced input sequence.
-    The head runs once per caption, as one product over the T stacked
-    decoder states, and each returned row is a slice of that T*V matrix.
+    Each LSTM's input is projected once per caption, as one product of its
+    T stacked input rows by W: the language LSTM's embedding rows, and the
+    decoder's (T, encoding_dim + lang_hidden) matrix of the encoding beside
+    each language state. The head runs once per caption, as one product over
+    the T stacked decoder states, and each returned row is a slice of that
+    T*V matrix.
     ``encoding`` is the example's row of a batch encoding; without it the
     example is encoded alone, to the same bits.
     """
@@ -385,9 +390,9 @@ def forward_teacher_forced(model: Model, example: CaptionExample, encoding: Tens
     elif encoding.shape != (1, cfg.encoding_dim):
         raise ValidationError(f"encoding shape {encoding.shape} != (1, {cfg.encoding_dim})")
     steps = len(ids) - 1
-    lang_in = [embed(model.word_embed, ids[t]) for t in range(steps)]
-    lang_states = lstm_unroll(model.lang_lstm, lang_in)
-    xs = [concat([encoding, h], axis=1) for h in lang_states]
+    lang_states = lstm_unroll(model.lang_lstm, [embed(model.word_embed, ids[t]) for t in range(steps)])
+    # row t is [encoding, h_t]: the decoder's whole input, built once
+    xs = concat([concat([encoding] * steps, axis=0), concat(lang_states, axis=0)], axis=1)
     if cfg.variant == "m2":
         dec_states = bilstm(model.decoder_fwd, model.decoder_bwd, xs)
     else:
@@ -514,6 +519,13 @@ def decode_greedy(model: Model, encoding: Tensor, max_len: int | None = None) ->
     return decode_greedy_batch(model, encoding, max_len)[0]
 
 
+def check_beam_width(width: int) -> int:
+    """``width`` if it is a beam width, at least 1; otherwise ValidationError."""
+    if width < 1:
+        raise ValidationError(f"beam width must be >= 1, got {width}")
+    return width
+
+
 def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None = None) -> list[int]:
     """Length-normalized beam search; width 1 reproduces decode_greedy.
 
@@ -542,8 +554,7 @@ def decode_beam(model: Model, encoding: Tensor, width: int, max_len: int | None 
     from a one-row product by ~1e-15, so at a near-tie a beam of any width,
     or its fallback, may keep another token than one-row steps.
     """
-    if width < 1:
-        raise ValidationError(f"beam width must be >= 1, got {width}")
+    check_beam_width(width)
     if encoding.shape[0] != 1:
         raise ValidationError(f"decode_beam takes one image's encoding, got shape {encoding.shape}")
     state = _init_state(model, encoding)

@@ -109,12 +109,16 @@ def untrained_caption_args(tmp_path):
     ]
 
 
-def test_caption_beam_zero_exits_1(tmp_path, capsys):
-    _, args = untrained_caption_args(tmp_path)
-    assert main(args + ["--beam", "1"]) == 0
-    capsys.readouterr()
-    assert main(args + ["--beam", "0"]) == 1
-    assert "beam width must be >= 1" in capsys.readouterr().err
+@pytest.mark.parametrize("beam", ["0", "-2"])
+def test_caption_beam_below_one_exits_2_before_reading_a_file(tmp_path, capsys, beam):
+    # the files do not exist: a width of 1 gets as far as reading one
+    missing = str(tmp_path / "missing")
+    args = ["caption", "--checkpoint", missing, "--records", missing, "--record-id", "some-id"]
+    assert main(args + ["--beam", "1"]) == 1
+    assert missing in capsys.readouterr().err
+    assert main(args + ["--beam", beam]) == 2
+    err = capsys.readouterr().err
+    assert "argument --beam: beam width must be >= 1" in err and missing not in err, err
 
 
 def test_caption_bad_model_config_exits_1(tmp_path, capsys):

@@ -35,7 +35,7 @@ from objcap.tensor import (
     tanh,
     zeros,
 )
-from gradcheck import finite_diff_check
+from gradcheck import assert_close, finite_diff_check
 
 
 def rng(seed=0):
@@ -208,6 +208,21 @@ def test_lstm_step_graph_shape():
         "matmul": 2, "add": 2, "add_rowvector": 1, "sigmoid": 1, "tanh": 2, "slice_axis": 4, "mul": 3,
     }
     assert len(tape) == 15
+    # given its row of the input projection, a step reads U alone and skips x @ W
+    with Tape() as tape:
+        lstm_step(p, rand_row(16, 74), zeros((1, 4)), zeros((1, 4)), projected=True)
+    ops = Counter(rule.__qualname__.split(".")[0] for _, _, rule in tape.nodes)
+    assert ops == {
+        "matmul": 1, "add": 2, "add_rowvector": 1, "sigmoid": 1, "tanh": 2, "slice_axis": 4, "mul": 3,
+    }
+    assert len(tape) == 14
+    assert [inputs[1] for inputs, _, rule in tape.nodes if rule.__qualname__.startswith("matmul")] == [p.U]
+
+
+def test_projected_step_rejects_a_raw_input_row():
+    p = lstm_init(5, 4, rng(76))
+    with pytest.raises(ValueError, match="x @ W"):
+        lstm_step(p, zeros((1, 5)), zeros((1, 4)), zeros((1, 4)), projected=True)
 
 
 @pytest.mark.parametrize("rows", [1, 4])
@@ -227,12 +242,65 @@ def test_plain_array_step_matches_lstm_step_bitwise(rows, input_dim, hidden):
     assert np.array_equal(got_h, h2.data) and np.array_equal(got_c, c2.data)
 
 
+def per_step_unroll(p, xs, reverse=False):
+    """The unroll as a loop of raw-x steps, each forming its own x @ W: the
+    reference for lstm_unroll's one projection of the whole sequence."""
+    h = c = zeros((1, p.hidden_size))
+    states = [None] * len(xs)
+    for t in reversed(range(len(xs))) if reverse else range(len(xs)):
+        h, c = lstm_step(p, xs[t], h, c)
+        states[t] = h
+    return states
+
+
+def unroll_states_and_gradients(unroll, p, xs, reverse):
+    """The states of ``unroll`` over xs and the gradients of W, U, b and
+    every input row under a fixed weighted sum of those states."""
+    leaves = [p.W, p.U, p.b] + xs
+    for t in leaves:
+        t.grad = None
+    weights = [Tensor(rng(200 + t).uniform(-1, 1, (1, p.hidden_size))) for t in range(len(xs))]
+    with Tape() as tape:
+        states = unroll(p, xs, reverse=reverse)
+        loss = sum_all(mul(states[0], weights[0]))
+        for h, w in zip(states[1:], weights[1:]):
+            loss = add(loss, sum_all(mul(h, w)))
+    backward(loss, tape)
+    return [h.data for h in states], [t.grad.copy() for t in leaves]
+
+
 def test_unroll_single_step_equivalence():
+    # one step: the projection of the one-row stack is the step's own x @ W,
+    # so states and gradients keep their bits, in either direction
     p = lstm_init(3, 2, rng(12))
-    x = rand_row(3, 13)
-    states = lstm_unroll(p, [x])
-    h, _ = lstm_step(p, x, zeros((1, 2)), zeros((1, 2)))
-    assert np.array_equal(states[0].data, h.data)
+    x = Tensor(rand_row(3, 13).data, requires_grad=True)
+    for reverse in (False, True):
+        got = unroll_states_and_gradients(lstm_unroll, p, [x], reverse)
+        want = unroll_states_and_gradients(per_step_unroll, p, [x], reverse)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+@pytest.mark.parametrize("steps", [2, 7])
+@pytest.mark.parametrize("input_dim, hidden", [(3, 2), (40, 24)])
+def test_unroll_matches_per_step_loop(input_dim, hidden, steps, reverse):
+    # the sequence's one (T, 4h) projection against a raw-x step per row
+    p = lstm_init(input_dim, hidden, rng(77))
+    xs = [Tensor(rng(300 + t).uniform(-2, 2, (1, input_dim)), requires_grad=True) for t in range(steps)]
+    got_states, got_grads = unroll_states_and_gradients(lstm_unroll, p, xs, reverse)
+    want_states, want_grads = unroll_states_and_gradients(per_step_unroll, p, xs, reverse)
+    for got, want in zip(got_states + got_grads, want_states + want_grads):
+        assert_close(got, want, 1e-12)
+    # a stacked (T, d) sequence is the same sequence as its list of rows
+    stacked = lstm_unroll(p, Tensor(np.concatenate([x.data for x in xs])), reverse=reverse)
+    assert all(np.array_equal(a.data, b) for a, b in zip(stacked, got_states))
+
+
+def test_unroll_rejects_steps_of_several_rows():
+    p = lstm_init(3, 2, rng(79))
+    with pytest.raises(ValueError, match="1\\*d rows"):
+        lstm_unroll(p, [zeros((2, 3)), zeros((2, 3))])
 
 
 def test_unroll_length_and_zero_params():
@@ -250,6 +318,8 @@ def test_unroll_empty_sequence():
     p = lstm_init(3, 2, rng(15))
     with pytest.raises(ValueError):
         lstm_unroll(p, [])
+    with pytest.raises(ValueError):
+        lstm_unroll(p, zeros((0, 3)))
 
 
 # --- bilstm ---

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -590,18 +591,24 @@ def test_stacked_head_rows_match_per_row_head(variant):
 
 @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
 def test_one_head_product_per_caption(variant):
-    # graph guard: a one-example tape holds exactly one matmul that reads
-    # the head weight, however many steps the caption has
+    # graph guard: a one-example tape holds exactly one matmul that reads the
+    # head weight, one that reads the language LSTM's W and one per decoder
+    # W, however many steps the caption has: each left operand is the
+    # caption's T stacked rows
     model = tiny_model(variant, seed=9)
+    cfg = model.config
+    decoders = [model.decoder_fwd, model.decoder_bwd] if variant == "m2" else [model.decoder]
+    expected = {id(model.head.weight): model.head.in_dim, id(model.lang_lstm.W): cfg.text_embed_dim}
+    expected.update((id(d.W), cfg.encoding_dim + cfg.lang_hidden) for d in decoders)
     for ex in forward_examples(variant, np.random.default_rng(10)):
         with Tape() as tape:
             teacher_forced_sum_loss(model, ex)
-        head_products = [
-            inputs for inputs, _, rule in tape.nodes
-            if rule.__qualname__.split(".")[0] == "matmul" and inputs[1] is model.head.weight
-        ]
-        assert len(head_products) == 1
-        assert head_products[0][0].shape == (len(ex.caption_ids) - 1, model.head.in_dim)
+        products = Counter(
+            (id(inputs[1]), inputs[0].shape) for inputs, _, rule in tape.nodes
+            if rule.__qualname__.split(".")[0] == "matmul" and id(inputs[1]) in expected
+        )
+        steps = len(ex.caption_ids) - 1
+        assert products == {(weight, (steps, width)): 1 for weight, width in expected.items()}
 
 
 # --- example construction ---
